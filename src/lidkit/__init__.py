@@ -25,6 +25,7 @@ from .corpus import (  # noqa: F401
     write_corpus,
 )
 from .decision import (  # noqa: F401
+    Decider,
     DecisionConfig,
     LabelMap,
     LanguageHierarchy,
@@ -73,6 +74,7 @@ from .model import (  # noqa: F401
     UNDETERMINED,
     LidModel,
     PredictionDist,
+    Scorer,
     TrainConfig,
     load_model,
     predict,

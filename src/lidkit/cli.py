@@ -15,24 +15,25 @@ Exit codes: 0 success, 1 usage or validation problem, 2 data error
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+import time
 from collections import Counter
 from typing import IO, Callable, Iterator
 
 from . import __version__
 from .corpus import LABEL_PREFIX, contamination_rate, read_corpus, write_label_tsv
 from .decision import (
+    Decider,
     DecisionConfig,
     Scenario,
-    decide,
     load_hierarchy,
     load_label_map,
     load_label_set,
     map_labels,
-    rollup,
 )
-from .errors import FormatError, InputMismatch, LidkitError, NoFeatures
+from .errors import FormatError, InputMismatch, LidkitError
 from .evaluation import (
     EvalScope,
     confusion,
@@ -47,7 +48,6 @@ from .model import (
     UNDETERMINED,
     TrainConfig,
     load_model,
-    predict_dist,
     save_model,
     train,
 )
@@ -113,6 +113,19 @@ def _open_input(path: str | None) -> IO[str]:
 def _iter_lines(stream: IO[str]) -> Iterator[str]:
     for raw in stream:
         yield raw.rstrip("\n")
+
+
+def _report_stats(decider: Decider, start: float) -> None:
+    """One JSON line on stderr: what a predict or clean run read and decided."""
+    elapsed = time.perf_counter() - start
+    stats = {
+        "lines": decider.lines,
+        "no_feature": decider.no_feature,
+        "und": decider.und,
+        "elapsed_s": round(elapsed, 6),
+        "lines_per_s": round(decider.lines / elapsed, 1) if elapsed > 0 else 0.0,
+    }
+    print(json.dumps(stats), file=sys.stderr)
 
 
 def _read_label_column(path: str) -> list[str]:
@@ -204,6 +217,7 @@ def cmd_predict(args) -> int:
     input_path = _resolve(args, cfg, "input", str, None)
     hierarchy_path = _resolve(args, cfg, "hierarchy", str, None)
     base_set_path = _resolve(args, cfg, "base_set", str, None)
+    stats = _resolve(args, cfg, "stats", _parse_bool, False)
 
     model = load_model(model_path)
     hierarchy = load_hierarchy(hierarchy_path) if hierarchy_path else None
@@ -213,29 +227,19 @@ def cmd_predict(args) -> int:
         hierarchy.macro_of.get(l, l) for l in model.labels
     ) if hierarchy else frozenset(model.labels)
     base_set = load_label_set(base_set_path) if base_set_path else None
-    config = DecisionConfig.for_model(universe, theta, base_set)
+    decider = Decider(model, DecisionConfig.for_model(universe, theta, base_set), hierarchy)
 
+    start = time.perf_counter()
     stream = _open_input(input_path)
     try:
         for line in _iter_lines(stream):
-            try:
-                dist = predict_dist(model, line)
-            except NoFeatures:
-                # nothing to score: a lone Undetermined column with full mass
-                sys.stdout.write(f"{UNDETERMINED}\t1.0\n")
-                continue
-            if hierarchy is not None:
-                dist = rollup(dist, hierarchy)
-            ranked = sorted(
-                ((l, dist.probs[l]) for l in config.base_set),
-                key=lambda lp: (-lp[1], lp[0]),
-            )
-            top = decide(dist, config)  # UNDETERMINED when ranked[0] misses theta
-            cols = [(top, ranked[0][1])] + ranked[1:k]
-            sys.stdout.write("\t".join(f"{l}\t{p}" for l, p in cols) + "\n")
+            pairs = decider.rank(line, k)
+            sys.stdout.write("\t".join(f"{l}\t{p}" for l, p in pairs) + "\n")
     finally:
         if stream is not sys.stdin:
             stream.close()
+    if stats:
+        _report_stats(decider, start)
     return 0
 
 
@@ -253,9 +257,10 @@ def cmd_clean(args) -> int:
         raise _UsageError("clean needs -model and -out-dir")
     theta = _check_theta(_resolve(args, cfg, "theta", float, 0.0))
     input_path = _resolve(args, cfg, "input", str, None)
+    stats = _resolve(args, cfg, "stats", _parse_bool, False)
 
     model = load_model(model_path)
-    config = DecisionConfig.for_model(model.labels, theta)
+    decider = Decider(model, DecisionConfig.for_model(model.labels, theta))
     counts: Counter[str] = Counter()
     files: dict[str, IO[str]] = {}
 
@@ -268,20 +273,19 @@ def cmd_clean(args) -> int:
         fh.write(text + "\n")
         counts[label] += 1
 
+    start = time.perf_counter()
     stream = _open_input(input_path)
     try:
         for line in _iter_lines(stream):
-            try:
-                label = decide(predict_dist(model, line), config)
-            except NoFeatures:
-                label = UNDETERMINED
-            route(label, line)
+            route(decider.decide(line), line)
     finally:
         for fh in files.values():
             fh.close()
         if stream is not sys.stdin:
             stream.close()
     write_label_tsv(sys.stdout, counts)
+    if stats:
+        _report_stats(decider, start)
     return 0
 
 
@@ -387,6 +391,11 @@ def _add_config_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("-config", help="key=value config file (flags override it)")
 
 
+def _add_stats_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-stats", action="store_true", default=None,
+                   help="write a JSON line of line counts and lines/s to stderr")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="lidkit", allow_abbrev=False,
                      description="Train, run, and evaluate a language identifier.")
@@ -423,6 +432,7 @@ def build_parser() -> _Parser:
                    help="file of benchmark labels to restrict predictions to")
     p.add_argument("-hierarchy",
                    help="variety<TAB>macrolanguage file; consolidates before deciding")
+    _add_stats_flag(p)
     _add_config_flag(p)
     p.set_defaults(func=cmd_predict)
 
@@ -433,6 +443,7 @@ def build_parser() -> _Parser:
     p.add_argument("-out-dir", dest="out_dir", help="directory for <label>.txt files")
     p.add_argument("-theta", type=float,
                    help="confidence threshold; below it route to und.txt (default 0)")
+    _add_stats_flag(p)
     _add_config_flag(p)
     p.set_defaults(func=cmd_clean)
 

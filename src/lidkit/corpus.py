@@ -23,6 +23,12 @@ from .errors import FormatError
 
 LABEL_PREFIX = "__label__"
 
+#: Sentinel label for "no decision": emitted when a sentence has no
+#: features, and by the threshold rule when no base-set probability is
+#: confident enough.  "und" is the ISO 639-3 code for undetermined.  It is
+#: reserved: no labeled line may carry it, so it never names a language.
+UNDETERMINED = "und"
+
 # Script codes excluded from purity accounting (ISO 15924 Common/Inherited).
 _IGNORED_SCRIPTS = ("Zyyy", "Zinh")
 
@@ -32,8 +38,8 @@ class LabeledLine:
     """One labeled sentence.
 
     Text is NFC-normalized and trimmed on construction; the label must be
-    non-empty and free of whitespace.  Construction fails with ValueError
-    if either invariant cannot be met.
+    non-empty, free of whitespace and not the reserved ``und``.
+    Construction fails with ValueError if an invariant cannot be met.
     """
 
     label: str
@@ -42,6 +48,8 @@ class LabeledLine:
     def __post_init__(self) -> None:
         if not self.label or any(ch.isspace() for ch in self.label):
             raise ValueError(f"bad label: {self.label!r}")
+        if self.label == UNDETERMINED:
+            raise ValueError(f"label {UNDETERMINED!r} is reserved for undetermined")
         norm = unicodedata.normalize("NFC", self.text).strip()
         if not norm:
             raise ValueError("empty text after trimming")

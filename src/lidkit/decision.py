@@ -7,6 +7,11 @@ many-to-one label mapping between coding schemes.
 The rule is deliberately literal: the maximum is taken over the base set's
 RAW probabilities, with no renormalization after restriction, and the
 sentence is Undetermined whenever that raw maximum falls below theta.
+
+The arithmetic works on probability arrays whose columns are in sorted
+label order.  :class:`Decider` runs it for `predict` and `clean`;
+:func:`rollup` and :func:`decide` apply the same code to a
+:class:`PredictionDist`.
 """
 
 from __future__ import annotations
@@ -15,8 +20,10 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import EmptyScope, FormatError, UnmappedLabel
-from .model import UNDETERMINED, PredictionDist
+import numpy as np
+
+from .errors import EmptyScope, FormatError, NoFeatures, UnmappedLabel
+from .model import UNDETERMINED, LidModel, PredictionDist, Scorer, check_probs, top_k
 
 
 class Scenario(enum.Enum):
@@ -84,6 +91,141 @@ class LabelMap:
     rules: Mapping[str, str]
 
 
+class _RollupPlan:
+    """Column plan that folds each variety's column into its macrolanguage.
+
+    Built once from a label list; :meth:`apply` maps a probability array
+    over those labels to one over :attr:`labels`, the rolled-up labels in
+    sorted order.  Each output entry starts from the macrolanguage's own
+    column (0.0 when it is not an input label), then adds one variety slot
+    at a time, varieties in lexicographic order: the same float additions,
+    in the same order, as the documented left-to-right sum.
+    """
+
+    def __init__(self, labels: Sequence[str], hierarchy: LanguageHierarchy):
+        targets = [hierarchy.macro_of.get(label, label) for label in labels]
+        # dict.fromkeys keeps input order, so sorted input sorts in one pass
+        self.labels: tuple[str, ...] = tuple(sorted(dict.fromkeys(targets)))
+        row = {label: i for i, label in enumerate(self.labels)}
+        # (output rows, input columns) for the own mass, then for each slot;
+        # a label is its own target exactly when it is not a variety
+        own: tuple[list[int], list[int]] = ([], [])
+        varieties: dict[str, list[tuple[str, int]]] = {}
+        for col, (label, target) in enumerate(zip(labels, targets)):
+            if label == target:
+                own[0].append(row[label])
+                own[1].append(col)
+            else:
+                varieties.setdefault(target, []).append((label, col))
+        slots: list[tuple[list[int], list[int]]] = []
+        for macro, cols in varieties.items():
+            for slot, (_, col) in enumerate(sorted(cols)):
+                if slot == len(slots):
+                    slots.append(([], []))
+                slots[slot][0].append(row[macro])
+                slots[slot][1].append(col)
+        self._own, *self._slots = [
+            (np.array(r, dtype=np.intp), np.array(c, dtype=np.intp)) for r, c in [own, *slots]
+        ]
+
+    def apply(self, p: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(self.labels))
+        rows, cols = self._own
+        out[rows] = p[cols]
+        for rows, cols in self._slots:
+            out[rows] += p[cols]  # rows are distinct within a slot
+        return out
+
+
+def _decision(q: np.ndarray, j: int, labels: Sequence[str], theta: float) -> str:
+    """The label of base-set column ``j``, the first maximum of ``q``, or
+    Undetermined when that raw maximum is below theta."""
+    return labels[j] if q[j] >= theta else UNDETERMINED
+
+
+class Decider:
+    """The decision path of one run of `predict` or `clean`.
+
+    Built once from a model, a decision config and an optional hierarchy.
+    Per line it computes the model's probabilities (:class:`Scorer`),
+    folds varieties with a column plan, takes the base-set columns in
+    sorted label order, and decides by their first maximum and theta.
+    It counts the lines it scored, those with no features and the
+    Undetermined decisions (no-feature lines included).
+    """
+
+    def __init__(
+        self,
+        model: LidModel,
+        config: DecisionConfig,
+        hierarchy: LanguageHierarchy | None = None,
+    ):
+        self._scorer = Scorer(model)
+        self._plan = None if hierarchy is None else _RollupPlan(model.labels, hierarchy)
+        labels = model.labels if self._plan is None else self._plan.labels
+        column = {label: i for i, label in enumerate(labels)}
+        self._base_labels = sorted(config.base_set)
+        for label in self._base_labels:
+            if label not in column:
+                raise ValueError(f"base set label {label!r} not in distribution")
+        self._base_cols = np.array([column[l] for l in self._base_labels], dtype=np.intp)
+        self._theta = config.theta
+        self.lines = 0
+        self.no_feature = 0
+        self.und = 0
+
+    def _probs(self, text: str) -> np.ndarray | None:
+        """The model's probabilities for the line; None without features."""
+        self.lines += 1
+        try:
+            return self._scorer.probs(text)
+        except NoFeatures:
+            self.no_feature += 1
+            self.und += 1
+            return None
+
+    def _base_probs(self, p: np.ndarray) -> np.ndarray:
+        if self._plan is not None:
+            p = self._plan.apply(p)
+            check_probs(p, self._plan.labels)
+        return p[self._base_cols]
+
+    def _decide_at(self, q: np.ndarray, j: int) -> str:
+        label = _decision(q, j, self._base_labels, self._theta)
+        self.und += label == UNDETERMINED
+        return label
+
+    def decide(self, text: str) -> str:
+        """The line's label, or Undetermined."""
+        p = self._probs(text)
+        return UNDETERMINED if p is None else self.decide_probs(p)
+
+    def decide_probs(self, p: np.ndarray) -> str:
+        """:meth:`decide` for the model's probabilities ``p``, in label order."""
+        q = self._base_probs(p)
+        return self._decide_at(q, int(np.argmax(q)))
+
+    def rank(self, text: str, k: int) -> list[tuple[str, float]]:
+        """The line's decision and up to k base-set (label, probability) pairs.
+
+        The pairs are ranked by rolled-up base-set probability, ties to the
+        smaller label.  The first pair's label is the decision: an
+        Undetermined decision keeps the raw base-set maximum as its
+        probability.  A line with no features gives ``[(UNDETERMINED, 1.0)]``.
+        """
+        p = self._probs(text)
+        return [(UNDETERMINED, 1.0)] if p is None else self.rank_probs(p, k)
+
+    def rank_probs(self, p: np.ndarray, k: int) -> list[tuple[str, float]]:
+        """:meth:`rank` for the model's probabilities ``p``, in label order."""
+        q = self._base_probs(p)
+        order = top_k(q, k).tolist()
+        labels = self._base_labels
+        return [(self._decide_at(q, order[0]), float(q[order[0]]))] + [
+            (labels[i], float(q[i])) for i in order[1:]
+        ]
+
+
 def decide(dist: PredictionDist, config: DecisionConfig) -> str:
     """Apply the threshold rule: argmax over the base set, or Undetermined.
 
@@ -91,19 +233,13 @@ def decide(dist: PredictionDist, config: DecisionConfig) -> str:
     renormalize them.  Ties break toward the lexicographically smaller
     label.  Returns UNDETERMINED iff the base-set maximum is < theta.
     """
-    best_label: str | None = None
-    best_p = -1.0
-    for label in sorted(config.base_set):
-        try:
-            p = dist.probs[label]
-        except KeyError:
-            raise ValueError(f"base set label {label!r} not in distribution") from None
-        if p > best_p:
-            best_label, best_p = label, p
-    if best_p < config.theta:
-        return UNDETERMINED
-    assert best_label is not None
-    return best_label
+    labels = sorted(config.base_set)
+    try:
+        q = np.fromiter(map(dist.probs.__getitem__, labels), dtype=np.float64,
+                        count=len(labels))
+    except KeyError as exc:
+        raise ValueError(f"base set label {exc.args[0]!r} not in distribution") from None
+    return _decision(q, int(np.argmax(q)), labels, config.theta)
 
 
 def rollup(dist: PredictionDist, hierarchy: LanguageHierarchy) -> PredictionDist:
@@ -115,21 +251,9 @@ def rollup(dist: PredictionDist, hierarchy: LanguageHierarchy) -> PredictionDist
     order), a fixed summation order that makes total mass conservation
     exact — the result is a rearrangement of the same float addends.
     """
-    probs = dist.probs
-    varieties: dict[str, list[str]] = {}
-    for label in probs:
-        macro = hierarchy.macro_of.get(label)
-        if macro is not None:
-            varieties.setdefault(macro, []).append(label)
-    out_labels = set(varieties)
-    out_labels.update(l for l in probs if l not in hierarchy.macro_of)
-    out: dict[str, float] = {}
-    for label in sorted(out_labels):
-        acc = probs.get(label, 0.0)
-        for v in sorted(varieties.get(label, ())):
-            acc += probs[v]
-        out[label] = acc
-    return PredictionDist(out)
+    plan = _RollupPlan(list(dist.probs), hierarchy)
+    p = np.fromiter(dist.probs.values(), dtype=np.float64, count=len(dist.probs))
+    return PredictionDist(dict(zip(plan.labels, plan.apply(p).tolist())))
 
 
 def map_labels(

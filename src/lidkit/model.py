@@ -19,18 +19,13 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CorpusStats, LabeledLine, corpus_stats
+from .corpus import UNDETERMINED, CorpusStats, LabeledLine, corpus_stats
 from .errors import CorruptModel, NoFeatures, NoLabels, UnsupportedFormat
 from .features import FeatureBag, FeatureConfig, Vocabulary, build_vocab, featurize
-
-#: Sentinel label for "no decision": emitted when a sentence has no
-#: features, and by the threshold rule when no base-set probability is
-#: confident enough.  "und" is the ISO 639-3 code for undetermined.
-UNDETERMINED = "und"
 
 MODEL_MAGIC = b"GLIDMODL"
 MODEL_FORMAT_VERSION = 1
@@ -73,13 +68,20 @@ class PredictionDist:
     probs: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        total = 0.0
-        for label, p in self.probs.items():
-            if not -1e-9 <= p <= 1.0 + 1e-9:
-                raise ValueError(f"probability out of range for {label}: {p}")
-            total += p
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        p = np.fromiter(self.probs.values(), dtype=np.float64, count=len(self.probs))
+        check_probs(p, self.probs)
+
+
+def check_probs(p: np.ndarray, labels: Iterable[str]) -> None:
+    """ValueError unless ``p`` is a distribution over ``labels``: every
+    entry in [0, 1] and the total 1, each within float tolerance."""
+    # min and max are NaN when any entry is, and NaN fails both comparisons
+    if p.size and not (p.min() >= -1e-9 and p.max() <= 1.0 + 1e-9):
+        i = int(np.flatnonzero(~((p >= -1e-9) & (p <= 1.0 + 1e-9)))[0])
+        raise ValueError(f"probability out of range for {list(labels)[i]}: {float(p[i])}")
+    total = float(p.sum())
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"probabilities sum to {total}, not 1")
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,9 @@ class LidModel:
             raise ValueError("output weight shape inconsistent with labels")
         if not self.vocab.labels:
             raise ValueError("model has no labels")
+        # decisions break ties by column order, so it must be label order
+        if list(self.vocab.labels) != sorted(set(self.vocab.labels)):
+            raise ValueError("labels must be sorted and distinct")
         if not (
             np.isfinite(self.input_embeddings).all()
             and np.isfinite(self.output_weights).all()
@@ -134,19 +139,57 @@ def sentence_vector(bag: FeatureBag, model: LidModel) -> np.ndarray:
     return (rows * mults[:, None]).sum(axis=0) / mults.sum()
 
 
+def top_k(p: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest entries, largest first.
+
+    The sort is stable, so equal entries keep their column order; over
+    columns in sorted label order, ties go to the smaller label.
+    """
+    n = len(p)
+    if k < n:
+        # only entries at least as large as the k-th largest can rank; the
+        # stable sort of those, in column order, ranks them as a full one would
+        cand = np.flatnonzero(p >= np.partition(p, n - k)[n - k])
+        return cand[np.argsort(-p[cand], kind="stable")[:k]]
+    return np.argsort(-p, kind="stable")
+
+
+class Scorer:
+    """The forward pass of one model, from text to its label distribution.
+
+    The output layer is cast to float64 once, here: multiplying the
+    float32 matrix by the float64 sentence vector gives the same logits
+    but casts the whole matrix again on every sentence.
+    """
+
+    def __init__(self, model: LidModel):
+        self.model = model
+        self._out = model.output_weights.astype(np.float64)
+
+    def probs(self, text: str) -> np.ndarray:
+        """Checked softmax probabilities in the model's label order.
+
+        Raises NoFeatures when the sentence yields an empty bag.
+        """
+        model = self.model
+        bag = featurize(text, model.vocab, model.feature_config)
+        if not bag:
+            raise NoFeatures(f"no features in {text!r}")
+        p = softmax(self._out @ sentence_vector(bag, model))
+        check_probs(p, model.labels)
+        return p
+
+
 def predict_dist(model: LidModel, text: str) -> PredictionDist:
     """Full probability distribution for a sentence.
 
     Raises NoFeatures when the sentence yields an empty bag (callers that
     want a total function should map that to the Undetermined sentinel,
-    as :func:`predict` does).
+    as :func:`predict` does).  To score many sentences, keep one
+    :class:`Scorer`.
     """
-    bag = featurize(text, model.vocab, model.feature_config)
-    if not bag:
-        raise NoFeatures(f"no features in {text!r}")
-    v = sentence_vector(bag, model)
-    probs = softmax(model.output_weights @ v)
-    return PredictionDist({label: float(p) for label, p in zip(model.labels, probs)})
+    p = Scorer(model).probs(text)
+    return PredictionDist(dict(zip(model.labels, p.tolist())))
 
 
 def predict(model: LidModel, text: str, k: int = 1) -> list[tuple[str, float]]:
@@ -158,11 +201,10 @@ def predict(model: LidModel, text: str, k: int = 1) -> list[tuple[str, float]]:
     if k < 1:
         raise ValueError("k must be >= 1")
     try:
-        dist = predict_dist(model, text)
+        p = Scorer(model).probs(text)
     except NoFeatures:
         return [(UNDETERMINED, 1.0)]
-    ranked = sorted(dist.probs.items(), key=lambda lp: (-lp[1], lp[0]))
-    return ranked[:k]
+    return [(model.labels[i], float(p[i])) for i in top_k(p, k)]
 
 
 def temperature_weights(stats: CorpusStats, alpha: float) -> dict[str, float]:

@@ -97,6 +97,18 @@ class TestTrain:
         )
         assert rc == 1
 
+    def test_reserved_und_label_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "und.txt"
+        corpus.write_text("__label__eng hello\n__label__und hello there\n")
+        rc, _, err = run(
+            capsys,
+            ["train", "-input", str(corpus), "-output", str(tmp_path / "m.bin"),
+             "-minCount", "1"],
+        )
+        assert rc == 2
+        assert "line 2" in err and "reserved" in err
+        assert not (tmp_path / "m.bin").exists()
+
     def test_malformed_corpus_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("no label prefix here\n")

@@ -40,6 +40,12 @@ class TestLabeledLine:
         with pytest.raises(ValueError):
             LabeledLine("", "hello")
 
+    def test_rejects_reserved_und_label(self):
+        with pytest.raises(ValueError):
+            LabeledLine("und", "hello")
+        with pytest.raises(FormatError):
+            parse_corpus_line("__label__und hello", 1)
+
 
 class TestDetectScript:
     def test_single_script(self):

@@ -1,0 +1,187 @@
+"""The array decision path against the per-label dict code it replaced.
+
+The oracle below is the dict implementation of ``rollup`` and ``decide``
+and the base-set ranking ``lidkit predict`` used before the array path.
+Every result must match it bit for bit, on distributions built to have
+exact ties, zero probabilities, macrolanguages that are not model labels
+and base sets smaller than k.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lidkit.decision import Decider, DecisionConfig, LanguageHierarchy, decide, rollup
+from lidkit.features import FeatureConfig, Vocabulary
+from lidkit.model import UNDETERMINED, LidModel, PredictionDist, TrainConfig, top_k
+
+# --- oracle ------------------------------------------------------------------
+
+
+def oracle_decide(dist: PredictionDist, config: DecisionConfig) -> str:
+    best_label: str | None = None
+    best_p = -1.0
+    for label in sorted(config.base_set):
+        try:
+            p = dist.probs[label]
+        except KeyError:
+            raise ValueError(f"base set label {label!r} not in distribution") from None
+        if p > best_p:
+            best_label, best_p = label, p
+    if best_p < config.theta:
+        return UNDETERMINED
+    assert best_label is not None
+    return best_label
+
+
+def oracle_rollup(dist: PredictionDist, hierarchy: LanguageHierarchy) -> PredictionDist:
+    probs = dist.probs
+    varieties: dict[str, list[str]] = {}
+    for label in probs:
+        macro = hierarchy.macro_of.get(label)
+        if macro is not None:
+            varieties.setdefault(macro, []).append(label)
+    out_labels = set(varieties)
+    out_labels.update(l for l in probs if l not in hierarchy.macro_of)
+    out: dict[str, float] = {}
+    for label in sorted(out_labels):
+        acc = probs.get(label, 0.0)
+        for v in sorted(varieties.get(label, ())):
+            acc += probs[v]
+        out[label] = acc
+    return PredictionDist(out)
+
+
+def oracle_rank(dist, hierarchy, config, k):
+    """The base-set ranking of `lidkit predict` before the array path."""
+    if hierarchy is not None:
+        dist = oracle_rollup(dist, hierarchy)
+    ranked = sorted(
+        ((l, dist.probs[l]) for l in config.base_set), key=lambda lp: (-lp[1], lp[0])
+    )
+    top = oracle_decide(dist, config)
+    return [(top, ranked[0][1])] + ranked[1:k]
+
+
+# --- strategies ----------------------------------------------------------------
+
+LABEL = st.text(alphabet="abcd", min_size=1, max_size=2)
+
+
+@st.composite
+def cases(draw):
+    """A sorted label set, a distribution over it with ties and zeros, a
+    flat hierarchy, a base set, k and theta."""
+    labels = sorted(draw(st.sets(LABEL, min_size=1, max_size=9)))
+    # small integer weights give exact ties, zeros and tied rollup sums
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(labels), max_size=len(labels)))
+    if not any(weights):
+        weights[draw(st.integers(0, len(labels) - 1))] = 1
+    if draw(st.booleans()):
+        p = np.array(weights, dtype=np.float64) / sum(weights)
+    else:
+        raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(labels),
+                                     max_size=len(labels))))
+        raw[np.array(weights) == 0] = 0.0
+        p = raw / raw.sum() if raw.sum() > 0 else np.array(weights, dtype=np.float64) / sum(weights)
+    hierarchy = None
+    if draw(st.booleans()):
+        varieties = draw(st.sets(st.sampled_from(labels), max_size=len(labels) - 1))
+        # macrolanguages: model labels that are not varieties, or names the
+        # model does not know
+        pool = [l for l in labels if l not in varieties] + ["x1", "x2"]
+        hierarchy = LanguageHierarchy({v: draw(st.sampled_from(pool)) for v in sorted(varieties)})
+    universe = {hierarchy.macro_of.get(l, l) for l in labels} if hierarchy else set(labels)
+    base = draw(st.one_of(
+        st.none(),
+        st.sets(st.sampled_from(sorted(universe)), min_size=1) | st.just({"zz"} | universe),
+    ))
+    k = draw(st.integers(1, len(universe) + 2))
+    values = sorted(set(p.tolist()))
+    theta = draw(st.one_of(st.sampled_from([0.0, 1.0] + values), st.floats(0.0, 1.0)))
+    return labels, p, hierarchy, base, k, theta
+
+
+def tiny_model(labels) -> LidModel:
+    vocab = Vocabulary((), {}, tuple(labels))
+    emb = np.zeros((4, 2), dtype=np.float32)
+    out = np.zeros((len(labels), 2), dtype=np.float32)
+    return LidModel(vocab, FeatureConfig(bucket=4), TrainConfig(dim=2), emb, out)
+
+
+def hexed(pairs):
+    return [(label, float(p).hex()) for label, p in pairs]
+
+
+# --- properties --------------------------------------------------------------------
+
+
+@settings(max_examples=400)
+@given(cases())
+def test_decider_matches_oracle_bit_for_bit(case):
+    labels, p, hierarchy, base, k, theta = case
+    universe = {hierarchy.macro_of.get(l, l) for l in labels} if hierarchy else labels
+    config = DecisionConfig.for_model(universe, theta, base)
+    decider = Decider(tiny_model(labels), config, hierarchy)
+    dist = PredictionDist(dict(zip(labels, p.tolist())))
+    expected = oracle_rank(dist, hierarchy, config, k)
+    assert hexed(decider.rank_probs(p, k)) == hexed(expected)
+    assert decider.decide_probs(p) == expected[0][0]
+    assert decider.und == 2 * (expected[0][0] == UNDETERMINED)
+
+
+@settings(max_examples=400)
+@given(cases(), st.randoms(use_true_random=False))
+def test_adapters_match_oracle_bit_for_bit(case, rnd):
+    labels, p, hierarchy, base, _, theta = case
+    items = list(zip(labels, p.tolist()))
+    rnd.shuffle(items)  # the adapters must not rely on key order
+    dist = PredictionDist(dict(items))
+    if hierarchy is not None:
+        got, want = rollup(dist, hierarchy), oracle_rollup(dist, hierarchy)
+        assert list(got.probs) == list(want.probs)
+        assert hexed(got.probs.items()) == hexed(want.probs.items())
+        dist = want
+    keys = set(dist.probs)
+    config = DecisionConfig(frozenset((base or set()) & keys or keys), theta)
+    assert decide(dist, config) == oracle_decide(dist, config)
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=30), st.integers(1, 35))
+def test_top_k_is_a_stable_full_sort(weights, k):
+    p = np.array(weights, dtype=np.float64)
+    want = sorted(range(len(p)), key=lambda i: (-p[i], i))[:k]
+    assert top_k(p, k).tolist() == want
+
+
+def test_exact_tie_goes_to_the_smaller_label():
+    labels = ["aa", "bb", "cc"]
+    decider = Decider(tiny_model(labels), DecisionConfig.for_model(labels, 0.0))
+    p = np.array([0.25, 0.375, 0.375])
+    assert decider.rank_probs(p, 3) == [("bb", 0.375), ("cc", 0.375), ("aa", 0.25)]
+
+
+def test_tie_made_by_rollup_goes_to_the_smaller_macro():
+    # cc's mass lands on the unknown macro "zz", tying it with "aa"
+    labels = ["aa", "bb", "cc"]
+    hierarchy = LanguageHierarchy({"cc": "zz"})
+    config = DecisionConfig.for_model({"aa", "bb", "zz"}, 0.0)
+    decider = Decider(tiny_model(labels), config, hierarchy)
+    assert decider.rank_probs(np.array([0.5, 0.0, 0.5]), 5) == [
+        ("aa", 0.5), ("zz", 0.5), ("bb", 0.0)]
+
+
+def test_base_label_outside_the_model_is_rejected():
+    with pytest.raises(ValueError, match="'qq'"):
+        Decider(tiny_model(["aa", "bb"]), DecisionConfig(frozenset({"aa", "qq"}), 0.0))
+
+
+def test_counts_lines_without_features_as_undetermined():
+    labels = ["aa", "bb"]
+    decider = Decider(tiny_model(labels), DecisionConfig.for_model(labels, 0.0))
+    assert decider.rank("", 2) == [(UNDETERMINED, 1.0)]
+    assert decider.decide("   ") == UNDETERMINED
+    assert (decider.lines, decider.no_feature, decider.und) == (2, 2, 2)

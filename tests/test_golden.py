@@ -19,10 +19,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import random
 import sys
 import tempfile
+from typing import Sequence
 
 import pytest
 
@@ -95,31 +97,34 @@ def write_inputs(root: str) -> dict[str, str]:
     return paths
 
 
-def run(argv: list[str]) -> tuple[int, str]:
+def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
-    return rc, out.getvalue()
+    return rc, out.getvalue(), err.getvalue()
 
 
-def predict_output(paths: dict[str, str], case: str, extra: list[str] = ()) -> str:
+def predict_output(paths: dict[str, str], case: str, extra: Sequence[str] = ()) -> tuple[str, str]:
+    """The predict stdout and stderr."""
     flags = [a.format(**paths) for a in PREDICT_CASES[case]]
-    rc, out = run(["predict", "-model", paths["model"], "-input", paths["input"],
-                   *flags, *extra])
+    rc, out, err = run(["predict", "-model", paths["model"], "-input", paths["input"],
+                        *flags, *extra])
     assert rc == 0
-    return out
+    return out, err
 
 
-def clean_output(paths: dict[str, str], case: str, out_dir: str, extra: list[str] = ()) -> str:
-    """The clean stdout, then every routed file under a '--- name' header."""
-    rc, out = run(["clean", "-model", paths["model"], "-input", paths["input"],
-                   "-out-dir", out_dir, *CLEAN_CASES[case], *extra])
+def clean_output(paths: dict[str, str], case: str, out_dir: str,
+                 extra: Sequence[str] = ()) -> tuple[str, str]:
+    """The clean stdout followed by every routed file under a '--- name'
+    header, and the stderr."""
+    rc, out, err = run(["clean", "-model", paths["model"], "-input", paths["input"],
+                        "-out-dir", out_dir, *CLEAN_CASES[case], *extra])
     assert rc == 0
     parts = [out]
     for name in sorted(os.listdir(out_dir)):
         with open(os.path.join(out_dir, name), encoding="utf-8") as fh:
             parts.append(f"--- {name}\n{fh.read()}")
-    return "".join(parts)
+    return "".join(parts), err
 
 
 def model_digest(paths: dict[str, str]) -> str:
@@ -139,14 +144,41 @@ def paths(tmp_path_factory):
     return paths
 
 
+def input_lines(paths: dict[str, str]) -> list[str]:
+    with open(paths["input"], encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def check_stats(err: str, lines: list[str], decisions: list[str]) -> None:
+    stats = json.loads(err)
+    no_feature = sum(not line.split() for line in lines)
+    assert {k: stats[k] for k in ("lines", "no_feature", "und")} == {
+        "lines": len(lines), "no_feature": no_feature, "und": decisions.count("und")}
+    assert no_feature > 0 and stats["elapsed_s"] > 0 and stats["lines_per_s"] > 0
+
+
 @pytest.mark.parametrize("case", sorted(PREDICT_CASES))
 def test_predict_matches_golden(paths, case):
-    assert predict_output(paths, case) == golden(case + ".tsv")
+    assert predict_output(paths, case)[0] == golden(case + ".tsv")
 
 
 @pytest.mark.parametrize("case", sorted(CLEAN_CASES))
 def test_clean_matches_golden(paths, case, tmp_path):
-    assert clean_output(paths, case, str(tmp_path / "routed")) == golden(case + ".txt")
+    assert clean_output(paths, case, str(tmp_path / "routed"))[0] == golden(case + ".txt")
+
+
+@pytest.mark.parametrize("case", ["predict_all", "predict_theta"])
+def test_predict_stats_leave_stdout_alone(paths, case):
+    out, err = predict_output(paths, case, ["-stats"])
+    assert out == golden(case + ".tsv")
+    check_stats(err, input_lines(paths), [row.split("\t")[0] for row in out.splitlines()])
+
+
+def test_clean_stats_leave_output_alone(paths, tmp_path):
+    out, err = clean_output(paths, "clean_theta", str(tmp_path / "routed"), ["-stats"])
+    assert out == golden("clean_theta.txt")
+    und_rows = out.split("--- und.txt\n", 1)[1].splitlines()
+    check_stats(err, input_lines(paths), ["und"] * len(und_rows))
 
 
 def _write_goldens() -> None:
@@ -155,9 +187,9 @@ def _write_goldens() -> None:
         paths = write_inputs(root)
         outputs = {"model.sha256": model_digest(paths)}
         for case in PREDICT_CASES:
-            outputs[case + ".tsv"] = predict_output(paths, case)
+            outputs[case + ".tsv"] = predict_output(paths, case)[0]
         for case in CLEAN_CASES:
-            outputs[case + ".txt"] = clean_output(paths, case, os.path.join(root, case))
+            outputs[case + ".txt"] = clean_output(paths, case, os.path.join(root, case))[0]
     for name, text in outputs.items():
         with open(os.path.join(GOLDEN, name), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

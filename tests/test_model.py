@@ -237,6 +237,12 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], FeatureConfig(min_count=1), TrainConfig())
 
+    def test_unsorted_labels_rejected(self):
+        # ties in predict and decide go to the first column, so the label
+        # order must be sorted for them to go to the smaller label
+        with pytest.raises(ValueError):
+            toy_model(labels=("bb", "aa", "cc"))
+
     def test_no_labels_propagates(self):
         corpus = [LabeledLine("x", "some words here")]
         with pytest.raises(NoLabels):
