@@ -169,6 +169,30 @@ def _read_skew_factors(path: str) -> dict[str, int]:
     return factors
 
 
+# train flag -> (config class, field, cast, help); the defaults live in the dataclasses
+_TRAIN_FLAGS: dict[str, tuple[type, str, Callable, str]] = {
+    "minCount": (FeatureConfig, "min_count", int, "minimal word occurrences"),
+    "minCountLabel": (FeatureConfig, "min_count_label", int, "minimal label occurrences"),
+    "wordNgrams": (FeatureConfig, "word_ngrams", int, "max word n-gram length"),
+    "bucket": (FeatureConfig, "bucket", int, "number of hash buckets"),
+    "minn": (FeatureConfig, "minn", int, "min char n-gram length"),
+    "maxn": (FeatureConfig, "maxn", int, "max char n-gram length"),
+    "dim": (TrainConfig, "dim", int, "embedding dimension"),
+    "epoch": (TrainConfig, "epochs", int, "training epochs"),
+    "lr": (TrainConfig, "lr", float, "initial learning rate"),
+    "loss": (TrainConfig, "loss", str, "loss function, only softmax"),
+    "alpha": (TrainConfig, "inv_temperature", float, "language up-sampling exponent 1/T"),
+    "seed": (TrainConfig, "seed", int, "RNG seed"),
+}
+
+
+def _config_from_flags(cls: type, args, cfg: dict[str, str]):
+    """``cls`` from the train flags or config keys given; unset fields keep defaults."""
+    given = {name: _resolve(args, cfg, flag, cast, None)
+             for flag, (owner, name, cast, _) in _TRAIN_FLAGS.items() if owner is cls}
+    return cls(**{name: value for name, value in given.items() if value is not None})
+
+
 # --- subcommands ------------------------------------------------------------
 
 
@@ -178,22 +202,8 @@ def cmd_train(args) -> int:
     model_path = _resolve(args, cfg, "output", str, None)
     if not corpus_path or not model_path:
         raise _UsageError("train needs -input and -output")
-    feature_config = FeatureConfig(
-        min_count=_resolve(args, cfg, "minCount", int, 1000),
-        min_count_label=_resolve(args, cfg, "minCountLabel", int, 0),
-        word_ngrams=_resolve(args, cfg, "wordNgrams", int, 1),
-        bucket=_resolve(args, cfg, "bucket", int, 1_000_000),
-        minn=_resolve(args, cfg, "minn", int, 2),
-        maxn=_resolve(args, cfg, "maxn", int, 5),
-    )
-    train_config = TrainConfig(
-        dim=_resolve(args, cfg, "dim", int, 256),
-        epochs=_resolve(args, cfg, "epoch", int, 2),
-        lr=_resolve(args, cfg, "lr", float, 0.8),
-        loss=_resolve(args, cfg, "loss", str, "softmax"),
-        inv_temperature=_resolve(args, cfg, "alpha", float, 0.3),
-        seed=_resolve(args, cfg, "seed", int, 0),
-    )
+    feature_config = _config_from_flags(FeatureConfig, args, cfg)
+    train_config = _config_from_flags(TrainConfig, args, cfg)
     corpus = read_corpus(corpus_path)
 
     def progress(epoch: int, epochs: int, avg_loss: float) -> None:
@@ -405,19 +415,8 @@ def build_parser() -> _Parser:
                        help="train a classifier and write a model file")
     p.add_argument("-input", help="labeled training corpus")
     p.add_argument("-output", help="model file to write")
-    p.add_argument("-minCount", type=int, help="minimal word occurrences (default 1000)")
-    p.add_argument("-minCountLabel", type=int, help="minimal label occurrences (default 0)")
-    p.add_argument("-wordNgrams", type=int, help="max word n-gram length (default 1)")
-    p.add_argument("-bucket", type=int, help="number of hash buckets (default 1000000)")
-    p.add_argument("-minn", type=int, help="min char n-gram length (default 2)")
-    p.add_argument("-maxn", type=int, help="max char n-gram length (default 5)")
-    p.add_argument("-dim", type=int, help="embedding dimension (default 256)")
-    p.add_argument("-epoch", type=int, help="training epochs (default 2)")
-    p.add_argument("-lr", type=float, help="initial learning rate (default 0.8)")
-    p.add_argument("-loss", help="loss function (only 'softmax')")
-    p.add_argument("-alpha", type=float,
-                   help="language up-sampling exponent 1/T (default 0.3)")
-    p.add_argument("-seed", type=int, help="RNG seed (default 0)")
+    for flag, (cls, name, cast, text) in _TRAIN_FLAGS.items():
+        p.add_argument(f"-{flag}", type=cast, help=f"{text} (default {getattr(cls(), name)})")
     _add_config_flag(p)
     p.set_defaults(func=cmd_train)
 

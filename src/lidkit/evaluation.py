@@ -97,12 +97,12 @@ def _fpr(c: LabelCounts) -> float:
 
 def f1_macro(counts: ConfusionCounts, scope: EvalScope) -> float:
     """Unweighted mean of per-label F1 = 2TP / (2TP + FP + FN) over the scope."""
-    return sum(_f1(counts.per_label[l]) for l in scope.labels) / len(scope.labels)
+    return sum(_f1(counts.per_label[l]) for l in sorted(scope.labels)) / len(scope.labels)
 
 
 def fpr_macro(counts: ConfusionCounts, scope: EvalScope) -> float:
     """Unweighted mean of per-label FPR = FP / (FP + TN) over the scope."""
-    return sum(_fpr(counts.per_label[l]) for l in scope.labels) / len(scope.labels)
+    return sum(_fpr(counts.per_label[l]) for l in sorted(scope.labels)) / len(scope.labels)
 
 
 def cleanness(counts: ConfusionCounts, label: str) -> float:

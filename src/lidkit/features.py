@@ -19,8 +19,8 @@ from .errors import NoLabels
 _FNV_BASIS = 2166136261
 _FNV_PRIME = 16777619
 
-# featurize memoizes per-word feature ids on the vocabulary; stop growing
-# the memo past this point so adversarial corpora cannot exhaust memory
+# featurize memoizes per-word feature ids on the vocabulary, per config; stop
+# growing a memo past this point so adversarial corpora cannot exhaust memory
 _CACHE_LIMIT = 1 << 18
 
 
@@ -63,7 +63,7 @@ class Vocabulary:
     words: tuple[tuple[str, int], ...]
     word_index: Mapping[str, int]
     labels: tuple[str, ...]
-    _ngram_cache: dict[str, tuple[int, ...]] = field(
+    _ngram_cache: dict[FeatureConfig, dict[str, tuple[int, ...]]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -141,10 +141,10 @@ def hash_ngram(ngram: str, bucket: int) -> int:
 
 
 def _word_feature_ids(
-    word: str, vocab: Vocabulary, config: FeatureConfig
+    word: str, vocab: Vocabulary, config: FeatureConfig, memo: dict[str, tuple[int, ...]]
 ) -> tuple[int, ...]:
     """Feature ids contributed by one token: its word id plus hashed n-grams."""
-    cached = vocab._ngram_cache.get(word)
+    cached = memo.get(word)
     if cached is not None:
         return cached
     ids: list[int] = []
@@ -155,8 +155,8 @@ def _word_feature_ids(
     for gram in char_ngrams(word, config.minn, config.maxn):
         ids.append(offset + hash_ngram(gram, config.bucket))
     result = tuple(ids)
-    if len(vocab._ngram_cache) < _CACHE_LIMIT:
-        vocab._ngram_cache[word] = result
+    if len(memo) < _CACHE_LIMIT:
+        memo[word] = result
     return result
 
 
@@ -171,8 +171,9 @@ def featurize(text: str, vocab: Vocabulary, config: FeatureConfig) -> FeatureBag
     """
     counts: Counter[int] = Counter()
     tokens = tokenize(text)
+    memo = vocab._ngram_cache.setdefault(config, {})
     for token in tokens:
-        counts.update(_word_feature_ids(token, vocab, config))
+        counts.update(_word_feature_ids(token, vocab, config, memo))
     if config.word_ngrams > 1:
         offset = vocab.size
         for n in range(2, config.word_ngrams + 1):

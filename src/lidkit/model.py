@@ -23,7 +23,7 @@ from typing import BinaryIO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import UNDETERMINED, CorpusStats, LabeledLine, corpus_stats
+from .corpus import UNDETERMINED, CorpusStats, LabeledLine
 from .errors import CorruptModel, NoFeatures, NoLabels, UnsupportedFormat
 from .features import FeatureBag, FeatureConfig, Vocabulary, build_vocab, featurize
 
@@ -257,19 +257,24 @@ def example_loss_and_grads(
     occurrence receives an equal 1/|bag| share.
     """
     mults = mults.astype(input_embeddings.dtype, copy=False)
-    total = mults.sum()
-    v = (input_embeddings[ids] * mults[:, None]).sum(axis=0) / total
-    logits = output_weights @ v
-    z = logits - logits.max()
-    e = np.exp(z)
+    weights = mults / mults.sum()
+    return _loss_and_grads(input_embeddings, output_weights, ids, weights, gold_row)
+
+
+def _loss_and_grads(
+    emb: np.ndarray, out: np.ndarray, ids: np.ndarray, weights: np.ndarray, gold: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """:func:`example_loss_and_grads` for bag weights that already sum to
+    one: the training step.  The loss floors p at 1e-30, so only non-finite
+    weights make it non-finite."""
+    v = emb[ids].T @ weights
+    logits = out @ v
+    e = np.exp(logits - logits.max())
     p = e / e.sum()
-    loss = -float(np.log(p[gold_row]))
-    dlogits = p.copy()
-    dlogits[gold_row] -= 1.0
-    grad_output = np.outer(dlogits, v)
-    dv = output_weights.T @ dlogits
-    grad_embeddings = np.outer(mults / total, dv)
-    return loss, grad_embeddings, grad_output
+    loss = -math.log(max(float(p[gold]), 1e-30))
+    p[gold] -= 1.0  # now the logit gradient
+    dv = out.T @ p
+    return loss, np.outer(weights, dv), np.outer(p, v)
 
 
 ProgressFn = Callable[[int, int, float], None]
@@ -288,6 +293,8 @@ def train(
     temperature weight, then a uniform sentence of that language; the
     learning rate decays linearly to zero over all steps.  Identical
     (corpus, configs, seed) produce an identical model, bit for bit.
+    Sentences with no features, or whose label ``min_count_label`` cut, are
+    skipped; the first step whose loss is not finite raises ValueError.
 
     ``progress``, if given, is called after each epoch with
     (epoch, total epochs, mean loss over the epoch's steps).
@@ -298,41 +305,38 @@ def train(
     label_row = {label: i for i, label in enumerate(vocab.labels)}
     rng = np.random.default_rng(train_config.seed)
     dim = train_config.dim
-    n_features = vocab.size + feature_config.bucket
-
-    emb = rng.uniform(-1.0 / dim, 1.0 / dim, size=(n_features, dim)).astype(np.float32)
+    # drawn about 2^20 values at a time: the stream of one draw over the
+    # whole table, without a float64 copy of it
+    emb = np.empty((vocab.size + feature_config.bucket, dim), dtype=np.float32)
+    for chunk in np.array_split(emb, 1 + (emb.size >> 20)):
+        chunk[:] = rng.uniform(-1.0 / dim, 1.0 / dim, size=chunk.shape)
     out = np.zeros((len(vocab.labels), dim), dtype=np.float32)
 
-    # featurize once; sentences whose bag is empty cannot drive an update
+    # featurize once; a sentence with an empty bag cannot drive an update,
+    # nor one whose label min_count_label cut, which has no output row
     examples: list[tuple[np.ndarray, np.ndarray, int]] = []
-    trainable: list[LabeledLine] = []
     for line in corpus:
-        bag = featurize(line.text, vocab, feature_config)
+        gold = label_row.get(line.label)
+        bag = featurize(line.text, vocab, feature_config) if gold is not None else None
         if not bag:
             continue
         ids, mults = _bag_arrays(bag)
-        examples.append(
-            (ids, (mults / mults.sum()).astype(np.float32), label_row[line.label])
-        )
-        trainable.append(line)
+        examples.append((ids, (mults / mults.sum()).astype(np.float32), gold))
     if not examples:
         raise NoFeatures("no sentence in the corpus produced features")
 
-    weights = temperature_weights(
-        corpus_stats(trainable), train_config.inv_temperature
-    )
-    lang_order, lang_p = _language_distribution(weights)
-    pools: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * len(lang_order)
-    lang_index = {label: i for i, label in enumerate(lang_order)}
-    by_lang: dict[int, list[int]] = {i: [] for i in range(len(lang_order))}
-    for ex_idx, line in enumerate(trainable):
-        by_lang[lang_index[line.label]].append(ex_idx)
-    for i, ex_idxs in by_lang.items():
-        pools[i] = np.asarray(ex_idxs, dtype=np.int64)
+    golds = np.fromiter((g for _, _, g in examples), dtype=np.int64, count=len(examples))
+    counts = np.bincount(golds, minlength=len(vocab.labels))
+    drawn = np.flatnonzero(counts)  # label rows with examples, in label order
+    stats = CorpusStats({vocab.labels[r]: int(counts[r]) for r in drawn}, len(examples))
+    lang_weights = temperature_weights(stats, train_config.inv_temperature)
+    lang_p = _language_distribution(lang_weights)[1]
+    # one pool of example indices per drawn label, each in corpus order
+    pools = np.split(np.argsort(golds, kind="stable"), np.cumsum(counts[drawn])[:-1])
 
     steps_per_epoch = len(examples)
     total_steps = train_config.epochs * steps_per_epoch
-    lang_seq = rng.choice(len(lang_order), size=total_steps, p=lang_p)
+    lang_seq = rng.choice(len(pools), size=total_steps, p=lang_p)
     lr0 = train_config.lr
 
     step = 0
@@ -342,17 +346,12 @@ def train(
             lr = lr0 * (1.0 - step / total_steps)
             pool = pools[lang_seq[step]]
             ids, w, gold = examples[pool[rng.integers(0, len(pool))]]
-
-            v = emb[ids].T @ w
-            logits = out @ v
-            z = logits - logits.max()
-            e = np.exp(z)
-            p = e / e.sum()
-            loss_sum -= math.log(max(float(p[gold]), 1e-30))
-            p[gold] -= 1.0  # now the logit gradient
-            dv = out.T @ p
-            out -= lr * np.outer(p, v)
-            emb[ids] -= lr * np.outer(w, dv)  # ids are unique within a bag
+            loss, g_emb, g_out = _loss_and_grads(emb, out, ids, w, gold)
+            if not math.isfinite(loss):
+                raise ValueError(f"training diverged at step {step}: loss {loss}")
+            loss_sum += loss
+            out -= lr * g_out
+            emb[ids] -= lr * g_emb  # ids are unique within a bag
             step += 1
         if progress is not None:
             progress(epoch + 1, train_config.epochs, loss_sum / steps_per_epoch)

@@ -1,12 +1,14 @@
 import io
 import os
 import random
+import re
 import sys
 
 import pytest
 
 from lidkit.cli import main
-from lidkit.model import load_model
+from lidkit.features import FeatureConfig
+from lidkit.model import TrainConfig, load_model
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -108,6 +110,54 @@ class TestTrain:
         assert rc == 2
         assert "line 2" in err and "reserved" in err
         assert not (tmp_path / "m.bin").exists()
+
+    def test_lines_of_labels_below_min_count_label_are_skipped(self, workdir, tmp_path, capsys):
+        corpus = tmp_path / "rare.txt"
+        text = open(workdir["corpus"], encoding="utf-8").read()
+        corpus.write_text(text + "__label__zzz one rare line\n", encoding="utf-8")
+        out = tmp_path / "m.bin"
+        rc, _, err = run(
+            capsys,
+            ["train", "-input", str(corpus), "-output", str(out), "-minCount", "1",
+             "-minCountLabel", "2", "-dim", "4", "-epoch", "1", "-bucket", "500"],
+        )
+        assert rc == 0, err
+        assert load_model(str(out)).labels == ("aaa", "bbb", "ccc")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exits_1_before_the_second_epoch(self, workdir, tmp_path, capsys):
+        out = tmp_path / "m.bin"
+        rc, _, err = run(
+            capsys,
+            ["train", "-input", workdir["corpus"], "-output", str(out), "-minCount", "1",
+             "-dim", "4", "-epoch", "3", "-bucket", "500", "-lr", "1e30"],
+        )
+        assert rc == 1
+        assert re.search(r"training diverged at step \d+", err)
+        assert err.count("avg-loss") < 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, default", [
+        ("minCount", FeatureConfig().min_count),
+        ("minCountLabel", FeatureConfig().min_count_label),
+        ("wordNgrams", FeatureConfig().word_ngrams),
+        ("bucket", FeatureConfig().bucket),
+        ("minn", FeatureConfig().minn),
+        ("maxn", FeatureConfig().maxn),
+        ("dim", TrainConfig().dim),
+        ("epoch", TrainConfig().epochs),
+        ("lr", TrainConfig().lr),
+        ("loss", TrainConfig().loss),
+        ("alpha", TrainConfig().inv_temperature),
+        ("seed", TrainConfig().seed),
+    ])
+    def test_help_names_the_dataclass_default(self, flag, default, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "-h"])
+        out = capsys.readouterr().out
+        options = " ".join(out[out.index("-h, --help"):].split())
+        match = re.search(rf"-{flag} {flag.upper()} [^()]*\(default ([^)]*)\)", options)
+        assert match and match.group(1) == str(default)
 
     def test_malformed_corpus_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -1,5 +1,8 @@
 import io
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -134,6 +137,29 @@ class TestMacroMetrics:
         assert fpr_macro(counts, scope) == pytest.approx(
             float(sum(fprs) / len(fprs)), rel=1e-12
         )
+
+    def test_independent_of_string_hash_seed(self):
+        # macro sums must not follow the frozenset's hash-seeded order
+        script = (
+            "import random\n"
+            "from lidkit.evaluation import EvalScope, confusion, f1_macro, fpr_macro\n"
+            "rng = random.Random(0)\n"
+            "labels = [f'l{i:03d}' for i in range(300)]\n"
+            "gold = [rng.choice(labels) for _ in range(3000)]\n"
+            "pred = [g if rng.random() < 0.6 else rng.choice(labels) for g in gold]\n"
+            "scope = EvalScope(frozenset(labels))\n"
+            "c = confusion(gold, pred, scope)\n"
+            "print(repr(f1_macro(c, scope)), repr(fpr_macro(c, scope)))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outputs = []
+        for seed in ("1", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, check=True,
+            ).stdout)
+        assert outputs[0] == outputs[1]
 
     def test_cleanness_is_precision(self):
         per_label = {"x": LabelCounts(100, 99, 7, 0)}

@@ -196,6 +196,14 @@ class TestFeaturize:
         b = featurize(" ".join(shuffled), vocab, config)
         assert a.counts == b.counts
 
+    def test_memo_is_per_config(self):
+        corpus = [LabeledLine("l", "cat dog")]
+        wide, narrow = small_config(bucket=1000), small_config(bucket=7)
+        vocab = build_vocab(corpus, wide)
+        featurize("cat bird", vocab, wide)
+        fresh = build_vocab(corpus, wide)
+        assert featurize("cat bird", vocab, narrow) == featurize("cat bird", fresh, narrow)
+
     def test_against_rederivation_oracle(self):
         rng = random.Random(11)
         config = small_config(bucket=503)

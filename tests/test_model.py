@@ -3,13 +3,15 @@ import random
 import numpy as np
 import pytest
 
+import lidkit.model
 from lidkit.corpus import CorpusStats, LabeledLine
 from lidkit.errors import CorruptModel, NoFeatures, NoLabels, UnsupportedFormat
-from lidkit.features import FeatureBag, FeatureConfig, Vocabulary
+from lidkit.features import FeatureBag, FeatureConfig, Vocabulary, build_vocab, featurize
 from lidkit.model import (
     UNDETERMINED,
     LidModel,
     TrainConfig,
+    _bag_arrays,
     example_loss_and_grads,
     load_model,
     predict,
@@ -188,6 +190,35 @@ class TestGradients:
                 fd = (loss_at(emb, w2) - loss_at(emb, w1)) / (2 * h)
                 assert g_out[r, d] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
+    def test_training_steps_equal_the_checked_function_bit_for_bit(self, monkeypatch):
+        # every SGD step goes through _loss_and_grads with the stored f32
+        # (ids, weights); the public function on the bag's raw multiplicities
+        # must return the same bits, so the gradient checks cover training
+        corpus = synthetic_corpus(n_langs=3, lines_per_lang=20, seed=5)
+        fc = FeatureConfig(min_count=1, bucket=300)
+        vocab = build_vocab(corpus, fc)
+        mults_of = {}
+        for line in corpus:
+            ids, mults = _bag_arrays(featurize(line.text, vocab, fc))
+            mults_of[ids.tobytes()] = mults
+        step = lidkit.model._loss_and_grads
+        calls = []
+
+        def recorded_step(emb, out, ids, weights, gold):
+            got = step(emb, out, ids, weights, gold)
+            calls.append((emb.copy(), out.copy(), ids, weights, gold, got))
+            return got
+
+        monkeypatch.setattr(lidkit.model, "_loss_and_grads", recorded_step)
+        train(corpus, fc, TrainConfig(dim=4, epochs=2, seed=1))
+        monkeypatch.undo()
+        assert len(calls) == 2 * len(corpus)
+        for emb, out, ids, weights, gold, got in calls:
+            want = example_loss_and_grads(emb, out, ids, mults_of[ids.tobytes()], gold)
+            assert weights.dtype == emb.dtype == np.float32
+            assert got[0] == want[0]
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got[1:], want[1:]))
+
 
 class TestTrain:
     def test_separable_languages_reach_perfect_heldout(self):
@@ -232,6 +263,18 @@ class TestTrain:
         )
         assert [(e, n) for e, n, _ in seen] == [(1, 3), (2, 3), (3, 3)]
         assert all(np.isfinite(loss) for _, _, loss in seen)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_stops_within_the_first_epoch(self):
+        seen = []
+        with pytest.raises(ValueError, match=r"training diverged at step \d+: loss nan"):
+            train(
+                synthetic_corpus(n_langs=2, lines_per_lang=30),
+                FeatureConfig(min_count=1, bucket=300),
+                TrainConfig(dim=4, epochs=3, lr=1e30, seed=0),
+                progress=lambda e, n, loss: seen.append(e),
+            )
+        assert seen == []
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
