@@ -1,7 +1,10 @@
 """Golden outputs of `predict` and `clean`, compared byte for byte.
 
 A small model is trained here from a seeded corpus, then `predict` and
-`clean` run over a fixed input under several flag sets.  Every printed
+`clean` run over a fixed input under several flag sets.  A second model,
+trained with word bigrams on text with astral characters and combining
+marks, runs `predict -k 3` and `clean` over about 2,100 lines: more than
+two of the CLI's input chunks.  Every printed
 probability is a float repr, so the goldens pin the decision path bit for
 bit: label order, tie breaks, the rollup summation order and the
 probability printed on an `und` row.
@@ -54,6 +57,13 @@ CLEAN_CASES = {
     "clean_theta": ["-theta", "0.6"],
 }
 
+# the word-bigram set: (golden file, subcommand, flags)
+BIGRAM_CASES = {
+    "bigram_predict_k3.tsv": ("predict", ["-k", "3"]),
+    "bigram_clean.txt": ("clean", []),
+}
+BIGRAM_LINES = 2100
+
 
 def _lexicons(rng: random.Random) -> dict[str, list[str]]:
     # neighbouring labels share half their alphabet, so the model is unsure
@@ -95,6 +105,70 @@ def write_inputs(root: str) -> dict[str, str]:
               "-lr", "1.0", "-seed", "5"])[0]
     assert rc == 0
     return paths
+
+
+def _bigram_lexicons(rng: random.Random) -> dict[str, list[str]]:
+    # alphabets mix astral emoji (from U+1F600) and musical symbols (from
+    # U+1D11E), Latin letters and the combining acute U+0301, which may start
+    # a word; neighbouring labels share half their alphabet
+    pool = ([chr(0x1F600 + j) for j in range(24)] + [chr(0x1D11E + j) for j in range(24)]
+            + [chr(0x61 + j) for j in range(24)])
+    out = {}
+    for i, label in enumerate(LABELS):
+        alphabet = pool[12 * i : 12 * i + 24] + ["\u0301"]
+        out[label] = ["".join(rng.choices(alphabet, k=rng.randint(1, 5))) for _ in range(25)]
+    return out
+
+
+def write_bigram_inputs(root: str) -> dict[str, str]:
+    """Write the word-bigram corpus and input lines under root; train its model."""
+    rng = random.Random(20231026)
+    lex = _bigram_lexicons(rng)
+    paths = {"corpus": os.path.join(root, "corpus.txt"),
+             "input": os.path.join(root, "input.txt"),
+             "model": os.path.join(root, "model.bin")}
+    with open(paths["corpus"], "w", encoding="utf-8") as fh:
+        for label in LABELS:
+            for _ in range(40):
+                fh.write(f"__label__{label} {' '.join(rng.choices(lex[label], k=rng.randint(2, 6)))}\n")
+    lines = []
+    for _ in range(BIGRAM_LINES):
+        kind = rng.random()
+        if kind < 0.04:
+            lines.append(rng.choice(["", "  ", "\t"]))
+            continue
+        a, b = rng.sample(LABELS, 2)
+        words = rng.choices(lex[a], k=rng.randint(1, 5))
+        if kind < 0.4:
+            words += rng.choices(lex[b], k=rng.randint(1, 3))
+        if kind > 0.7:
+            # a token repeated within the line, next to itself or apart
+            words.insert(rng.randint(0, len(words)), rng.choice(words))
+        lines.append(" ".join(words))
+    with open(paths["input"], "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    rc = run(["train", "-input", paths["corpus"], "-output", paths["model"],
+              "-minCount", "2", "-wordNgrams", "2", "-bucket", "3000", "-dim", "8",
+              "-epoch", "4", "-lr", "0.5", "-seed", "9"])[0]
+    assert rc == 0
+    return paths
+
+
+def bigram_output(paths: dict[str, str], name: str, out_dir: str) -> str:
+    """The output of one word-bigram case; for clean, the stdout followed by
+    every routed file under a '--- name' header."""
+    command, flags = BIGRAM_CASES[name]
+    argv = [command, "-model", paths["model"], "-input", paths["input"], *flags]
+    if command == "clean":
+        argv += ["-out-dir", out_dir]
+    rc, out, _ = run(argv)
+    assert rc == 0
+    parts = [out]
+    if command == "clean":
+        for routed in sorted(os.listdir(out_dir)):
+            with open(os.path.join(out_dir, routed), encoding="utf-8") as fh:
+                parts.append(f"--- {routed}\n{fh.read()}")
+    return "".join(parts)
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
@@ -144,6 +218,14 @@ def paths(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def bigram_paths(tmp_path_factory):
+    paths = write_bigram_inputs(str(tmp_path_factory.mktemp("bigram")))
+    assert model_digest(paths) == golden("bigram_model.sha256"), \
+        "model differs from the goldens' model"
+    return paths
+
+
 def input_lines(paths: dict[str, str]) -> list[str]:
     with open(paths["input"], encoding="utf-8") as fh:
         return fh.read().splitlines()
@@ -181,6 +263,20 @@ def test_clean_stats_leave_output_alone(paths, tmp_path):
     check_stats(err, input_lines(paths), ["und"] * len(und_rows))
 
 
+@pytest.mark.parametrize("name", sorted(BIGRAM_CASES))
+def test_bigram_output_matches_golden(bigram_paths, name, tmp_path):
+    assert bigram_output(bigram_paths, name, str(tmp_path / "routed")) == golden(name)
+
+
+def test_bigram_input_covers_the_batch_cases(bigram_paths):
+    lines = input_lines(bigram_paths)
+    text = "".join(lines)
+    assert len(lines) > 2 * 1024
+    assert all(ch in text for ch in ("\U0001F600", "\U0001D11E", "\u0301"))
+    assert any(not line.split() for line in lines)
+    assert any(len(set(line.split())) < len(line.split()) for line in lines)
+
+
 def _write_goldens() -> None:
     os.makedirs(GOLDEN, exist_ok=True)
     with tempfile.TemporaryDirectory() as root:
@@ -190,6 +286,11 @@ def _write_goldens() -> None:
             outputs[case + ".tsv"] = predict_output(paths, case)[0]
         for case in CLEAN_CASES:
             outputs[case + ".txt"] = clean_output(paths, case, os.path.join(root, case))[0]
+    with tempfile.TemporaryDirectory() as root:
+        paths = write_bigram_inputs(root)
+        outputs["bigram_model.sha256"] = model_digest(paths)
+        for name in BIGRAM_CASES:
+            outputs[name] = bigram_output(paths, name, os.path.join(root, "routed"))
     for name, text in outputs.items():
         with open(os.path.join(GOLDEN, name), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
