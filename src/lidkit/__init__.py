@@ -62,11 +62,13 @@ from .evaluation import (  # noqa: F401
 )
 from .features import (  # noqa: F401
     FeatureBag,
+    FeatureBatch,
     FeatureConfig,
     Vocabulary,
     build_vocab,
     char_ngrams,
     featurize,
+    featurize_batch,
     hash_ngram,
     tokenize,
 )

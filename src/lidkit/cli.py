@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage or validation problem, 2 data error
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -42,7 +43,7 @@ from .evaluation import (
     write_calibration,
     write_report,
 )
-from .features import FeatureConfig
+from .features import BATCH_LINES, FeatureConfig
 from .model import (
     MODEL_FORMAT_VERSION,
     UNDETERMINED,
@@ -110,9 +111,11 @@ def _open_input(path: str | None) -> IO[str]:
     return open(path, encoding="utf-8") if path else sys.stdin
 
 
-def _iter_lines(stream: IO[str]) -> Iterator[str]:
-    for raw in stream:
-        yield raw.rstrip("\n")
+def _iter_chunks(stream: IO[str]) -> Iterator[list[str]]:
+    """The stream's lines, newlines stripped, BATCH_LINES at a time."""
+    lines = (raw.rstrip("\n") for raw in stream)
+    while chunk := list(itertools.islice(lines, BATCH_LINES)):
+        yield chunk
 
 
 def _report_stats(decider: Decider, start: float) -> None:
@@ -242,9 +245,9 @@ def cmd_predict(args) -> int:
     start = time.perf_counter()
     stream = _open_input(input_path)
     try:
-        for line in _iter_lines(stream):
-            pairs = decider.rank(line, k)
-            sys.stdout.write("\t".join(f"{l}\t{p}" for l, p in pairs) + "\n")
+        for chunk in _iter_chunks(stream):
+            sys.stdout.write("".join("\t".join(f"{l}\t{p}" for l, p in pairs) + "\n"
+                                     for pairs in decider.rank_batch(chunk, k)))
     finally:
         if stream is not sys.stdin:
             stream.close()
@@ -286,8 +289,9 @@ def cmd_clean(args) -> int:
     start = time.perf_counter()
     stream = _open_input(input_path)
     try:
-        for line in _iter_lines(stream):
-            route(decider.decide(line), line)
+        for chunk in _iter_chunks(stream):
+            for line, label in zip(chunk, decider.decide_batch(chunk)):
+                route(label, line)
     finally:
         for fh in files.values():
             fh.close()

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyScope, FormatError, NoFeatures, UnmappedLabel
+from .errors import EmptyScope, FormatError, UnmappedLabel
 from .model import UNDETERMINED, LidModel, PredictionDist, Scorer, check_probs, top_k
 
 
@@ -147,11 +147,12 @@ class Decider:
     """The decision path of one run of `predict` or `clean`.
 
     Built once from a model, a decision config and an optional hierarchy.
-    Per line it computes the model's probabilities (:class:`Scorer`),
-    folds varieties with a column plan, takes the base-set columns in
-    sorted label order, and decides by their first maximum and theta.
-    It counts the lines it scored, those with no features and the
-    Undetermined decisions (no-feature lines included).
+    It takes lines in batches: it featurizes a batch at once, then per
+    line computes the model's probabilities (:class:`Scorer`), folds
+    varieties with a column plan, takes the base-set columns in sorted
+    label order, and decides by their first maximum and theta.  It counts
+    the lines it scored, those with no features and the Undetermined
+    decisions (no-feature lines included).
     """
 
     def __init__(
@@ -174,15 +175,14 @@ class Decider:
         self.no_feature = 0
         self.und = 0
 
-    def _probs(self, text: str) -> np.ndarray | None:
-        """The model's probabilities for the line; None without features."""
-        self.lines += 1
-        try:
-            return self._scorer.probs(text)
-        except NoFeatures:
-            self.no_feature += 1
-            self.und += 1
-            return None
+    def _iter_probs(self, texts: Sequence[str]) -> Iterator[np.ndarray | None]:
+        """The model's probabilities for each line; None without features."""
+        for p in self._scorer.iter_probs(texts):
+            self.lines += 1
+            if p is None:
+                self.no_feature += 1
+                self.und += 1
+            yield p
 
     def _base_probs(self, p: np.ndarray) -> np.ndarray:
         if self._plan is not None:
@@ -195,26 +195,34 @@ class Decider:
         self.und += label == UNDETERMINED
         return label
 
+    def decide_batch(self, texts: Sequence[str]) -> list[str]:
+        """Each line's label, or Undetermined."""
+        return [UNDETERMINED if p is None else self.decide_probs(p)
+                for p in self._iter_probs(texts)]
+
     def decide(self, text: str) -> str:
-        """The line's label, or Undetermined."""
-        p = self._probs(text)
-        return UNDETERMINED if p is None else self.decide_probs(p)
+        """:meth:`decide_batch` of one line."""
+        return self.decide_batch([text])[0]
 
     def decide_probs(self, p: np.ndarray) -> str:
         """:meth:`decide` for the model's probabilities ``p``, in label order."""
         q = self._base_probs(p)
         return self._decide_at(q, int(np.argmax(q)))
 
-    def rank(self, text: str, k: int) -> list[tuple[str, float]]:
-        """The line's decision and up to k base-set (label, probability) pairs.
+    def rank_batch(self, texts: Sequence[str], k: int) -> list[list[tuple[str, float]]]:
+        """Per line, its decision and up to k base-set (label, probability) pairs.
 
         The pairs are ranked by rolled-up base-set probability, ties to the
         smaller label.  The first pair's label is the decision: an
         Undetermined decision keeps the raw base-set maximum as its
         probability.  A line with no features gives ``[(UNDETERMINED, 1.0)]``.
         """
-        p = self._probs(text)
-        return [(UNDETERMINED, 1.0)] if p is None else self.rank_probs(p, k)
+        return [[(UNDETERMINED, 1.0)] if p is None else self.rank_probs(p, k)
+                for p in self._iter_probs(texts)]
+
+    def rank(self, text: str, k: int) -> list[tuple[str, float]]:
+        """:meth:`rank_batch` of one line."""
+        return self.rank_batch([text], k)[0]
 
     def rank_probs(self, p: np.ndarray, k: int) -> list[tuple[str, float]]:
         """:meth:`rank` for the model's probabilities ``p``, in label order."""

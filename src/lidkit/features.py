@@ -5,13 +5,20 @@ vocabulary size are retained words; everything above is a hashed bucket
 holding character n-grams (and word n-grams when enabled), offset by the
 vocabulary size.  Hashing is 32-bit FNV-1a over UTF-8 bytes — fixed for
 all time so that serialized models stay loadable.
+
+:func:`featurize_batch` featurizes many sentences at once: it hashes the
+distinct words of the batch together, in numpy, and returns the bags in
+CSR form.  :func:`featurize` is its batch of one.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .corpus import LabeledLine
 from .errors import NoLabels
@@ -19,9 +26,9 @@ from .errors import NoLabels
 _FNV_BASIS = 2166136261
 _FNV_PRIME = 16777619
 
-# featurize memoizes per-word feature ids on the vocabulary, per config; stop
-# growing a memo past this point so adversarial corpora cannot exhaust memory
-_CACHE_LIMIT = 1 << 18
+# sentences featurized together by predict, clean and train setup: enough to
+# share the per-batch numpy work, few enough to keep the batch's arrays small
+BATCH_LINES = 1024
 
 
 @dataclass(frozen=True)
@@ -56,16 +63,14 @@ class Vocabulary:
     """Retained words (with frequencies), their dense ids, and the label set.
 
     Word ids are assigned by descending frequency, ties broken
-    lexicographically; labels are sorted.  Instances are immutable after
-    construction and safe to share across threads.
+    lexicographically; labels are sorted.  Instances hold no mutable state
+    (featurizing keeps no memo on them), so they are safe to share across
+    threads.
     """
 
     words: tuple[tuple[str, int], ...]
     word_index: Mapping[str, int]
     labels: tuple[str, ...]
-    _ngram_cache: dict[FeatureConfig, dict[str, tuple[int, ...]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @property
     def size(self) -> int:
@@ -140,24 +145,154 @@ def hash_ngram(ngram: str, bucket: int) -> int:
     return h % bucket
 
 
-def _word_feature_ids(
-    word: str, vocab: Vocabulary, config: FeatureConfig, memo: dict[str, tuple[int, ...]]
-) -> tuple[int, ...]:
-    """Feature ids contributed by one token: its word id plus hashed n-grams."""
-    cached = memo.get(word)
-    if cached is not None:
-        return cached
-    ids: list[int] = []
-    word_id = vocab.word_index.get(word)
-    if word_id is not None:
-        ids.append(word_id)
-    offset = vocab.size
-    for gram in char_ngrams(word, config.minn, config.maxn):
-        ids.append(offset + hash_ngram(gram, config.bucket))
-    result = tuple(ids)
-    if len(memo) < _CACHE_LIMIT:
-        memo[word] = result
-    return result
+def _utf8(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of the concatenated strings, the byte offset of each
+    of their codepoints plus the end, and each string's codepoint count."""
+    joined = "".join(strings)
+    cps = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32)
+    at = np.zeros(len(cps) + 1, dtype=np.int64)
+    np.cumsum(1 + (cps >= 0x80) + (cps >= 0x800) + (cps >= 0x10000), out=at[1:])
+    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    return np.frombuffer(joined.encode("utf-8"), dtype=np.uint8), at, lengths
+
+
+def _fnv1a_spans(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """32-bit FNV-1a of each byte span ``buf[start : start + length]``.
+
+    uint32 multiplication wraps mod 2^32, as the scalar hash masks it.  The
+    spans run longest first, so byte step j touches only the spans longer
+    than j.
+    """
+    order = np.argsort(-lengths)
+    starts, lengths = starts[order], lengths[order]
+    # live[j]: how many spans are longer than j
+    live = np.searchsorted(-lengths, -np.arange(lengths[0] if len(lengths) else 0), "left")
+    h = np.full(len(order), _FNV_BASIS, dtype=np.uint32)
+    for j, n in enumerate(live.tolist()):
+        part = h[:n]
+        part ^= buf[starts[:n] + j]
+        part *= np.uint32(_FNV_PRIME)
+    out = np.empty_like(h)
+    out[order] = h
+    return out
+
+
+def _reduce(h: np.ndarray, bucket: int) -> np.ndarray:
+    """Hashes mod bucket, as int64; a bucket of 2^32 or more keeps them whole."""
+    return h.astype(np.int64) % min(bucket, 1 << 32)
+
+
+def _hash_strings(strings: Sequence[str], bucket: int) -> np.ndarray:
+    """:func:`hash_ngram` of every string at once."""
+    buf, at, lengths = _utf8(strings)
+    ends = np.cumsum(lengths)
+    begins = at[ends - lengths]
+    return _reduce(_fnv1a_spans(buf, begins, at[ends] - begins), bucket)
+
+
+def _char_ngram_ids(words: Sequence[str], config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The hashed char n-grams of every word, concatenated in :func:`char_ngrams`
+    order, and how many each word has."""
+    buf, at, lengths = _utf8([f"<{w}>" for w in words])
+    ends = np.cumsum(lengths)
+    word_of = np.repeat(np.arange(len(words)), lengths)
+    starts = np.arange(len(at) - 1)
+    sizes = np.arange(config.minn, config.maxn + 1)
+    # row-major over (start, size): by start position, shortest first
+    start, size = np.nonzero(starts[:, None] + sizes <= np.repeat(ends, lengths)[:, None])
+    stop = start + sizes[size]
+    h = _fnv1a_spans(buf, at[start], at[stop] - at[start])
+    return _reduce(h, config.bucket), np.bincount(word_of[start], minlength=len(words))
+
+
+@dataclass(frozen=True)
+class FeatureBatch:
+    """The feature bags of a batch of sentences, in CSR form.
+
+    Row i is ``ids[offsets[i]:offsets[i + 1]]`` with the matching
+    ``counts``: each distinct feature id once, in order of first occurrence,
+    with its multiplicity.
+    """
+
+    ids: np.ndarray  # int64
+    counts: np.ndarray  # int64, >= 1
+    offsets: np.ndarray  # int64, len(batch) + 1
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row i's ids and counts, as views."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return self.ids[lo:hi], self.counts[lo:hi]
+
+
+def featurize_batch(texts: Sequence[str], vocab: Vocabulary, config: FeatureConfig) -> FeatureBatch:
+    """:func:`featurize` every text at once.
+
+    The batch's distinct words are hashed together, each once, and so are
+    its distinct word n-grams.  Each row lists a sentence's features in the
+    order :func:`featurize` meets them: per token its word id then its char
+    n-grams, then the word n-grams by length and position.
+    """
+    # entries: the batch's distinct words, then its distinct word n-grams
+    # (negated until the words are counted); items: the entries each
+    # sentence meets, in order
+    words: dict[str, int] = {}
+    phrases: dict[str, int] = {}
+    items: list[int] = []
+    row_items: list[int] = []
+    for text in texts:
+        tokens = tokenize(text)
+        before = len(items)
+        items += [words.setdefault(t, len(words)) for t in tokens]
+        for n in range(2, config.word_ngrams + 1):
+            items += [~phrases.setdefault(" ".join(tokens[i : i + n]), len(phrases))
+                      for i in range(len(tokens) - n + 1)]
+        row_items.append(len(items) - before)
+
+    # the entry table: each word's id if retained, then its char n-grams;
+    # each word n-gram's one hashed id
+    n_words, offset = len(words), vocab.size
+    grams, n_grams = _char_ngram_ids(list(words), config)
+    word_ids = np.fromiter(map(vocab.word_index.get, words, itertools.repeat(-1)),
+                           dtype=np.int64, count=n_words)
+    known = word_ids >= 0
+    sizes = np.concatenate([known + n_grams, np.ones(len(phrases), dtype=np.int64)])
+    begin = np.concatenate([[0], np.cumsum(sizes)])
+    table = np.empty(begin[-1], dtype=np.int64)
+    word_part = table[: begin[n_words]]
+    is_gram = np.ones(len(word_part), dtype=bool)
+    is_gram[begin[:n_words][known]] = False
+    word_part[~is_gram] = word_ids[known]
+    word_part[is_gram] = offset + grams
+    if phrases:
+        table[begin[n_words] :] = offset + _hash_strings(list(phrases), config.bucket)
+
+    # every sentence's feature sequence, with multiplicity
+    item = np.array(items, dtype=np.int64)
+    item = np.where(item >= 0, item, n_words + ~item)
+    item_row = np.repeat(np.arange(len(texts)), np.array(row_items, dtype=np.int64))
+    span = sizes[item]
+    span_end = np.cumsum(span)
+    seq = table[np.repeat(begin[item] - span_end + span, span) + np.arange(span.sum())]
+    seq_row = np.repeat(item_row, span)
+
+    # distinct (row, id) pairs at their first occurrence, with their counts
+    key = seq_row * (offset + min(config.bucket, 1 << 32)) + seq
+    order = np.argsort(key)
+    sorted_key = key[order]
+    head = np.ones(len(seq) + 1, dtype=bool)  # group starts, then the end
+    head[1:-1] = sorted_key[1:] != sorted_key[:-1]
+    group = np.flatnonzero(head)
+    at = np.minimum.reduceat(order, group[:-1]) if len(seq) else group[:0]
+    first = np.zeros(len(seq), dtype=bool)
+    first[at] = True
+    counts = np.zeros(len(seq), dtype=np.int64)
+    counts[at] = group[1:] - group[:-1]
+    offsets = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(seq_row[first], minlength=len(texts)), out=offsets[1:])
+    return FeatureBatch(seq[first], counts[first], offsets)
 
 
 def featurize(text: str, vocab: Vocabulary, config: FeatureConfig) -> FeatureBag:
@@ -167,17 +302,8 @@ def featurize(text: str, vocab: Vocabulary, config: FeatureConfig) -> FeatureBag
     vocabulary additionally contribute their word id.  With
     ``word_ngrams > 1``, consecutive-token n-grams (joined by a single
     space) are hashed into the same bucket space.  Multiplicity is
-    preserved throughout.
+    preserved throughout.  This is :func:`featurize_batch` of one sentence;
+    to featurize many, batch them.
     """
-    counts: Counter[int] = Counter()
-    tokens = tokenize(text)
-    memo = vocab._ngram_cache.setdefault(config, {})
-    for token in tokens:
-        counts.update(_word_feature_ids(token, vocab, config, memo))
-    if config.word_ngrams > 1:
-        offset = vocab.size
-        for n in range(2, config.word_ngrams + 1):
-            for i in range(len(tokens) - n + 1):
-                gram = " ".join(tokens[i : i + n])
-                counts[offset + hash_ngram(gram, config.bucket)] += 1
-    return FeatureBag(dict(counts))
+    ids, counts = featurize_batch([text], vocab, config).row(0)
+    return FeatureBag(dict(zip(ids.tolist(), counts.tolist())))

@@ -19,13 +19,20 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterable, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import UNDETERMINED, CorpusStats, LabeledLine
 from .errors import CorruptModel, NoFeatures, NoLabels, UnsupportedFormat
-from .features import FeatureBag, FeatureConfig, Vocabulary, build_vocab, featurize
+from .features import (
+    BATCH_LINES,
+    FeatureBag,
+    FeatureConfig,
+    Vocabulary,
+    build_vocab,
+    featurize_batch,
+)
 
 MODEL_MAGIC = b"GLIDMODL"
 MODEL_FORMAT_VERSION = 1
@@ -130,13 +137,19 @@ def _bag_arrays(bag: FeatureBag) -> tuple[np.ndarray, np.ndarray]:
     return ids, mults
 
 
+def _mean_embedding(emb: np.ndarray, ids: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """Multiplicity-weighted mean of the rows ``ids`` of ``emb`` (float64),
+    summed in the order of ``ids``."""
+    rows = emb[ids].astype(np.float64)
+    rows *= mults[:, None]  # in place, sparing a second (len(ids), dim) array
+    return rows.sum(axis=0) / mults.sum()
+
+
 def sentence_vector(bag: FeatureBag, model: LidModel) -> np.ndarray:
     """Multiplicity-weighted mean of the bag's input embeddings (float64)."""
     if not bag:
         raise NoFeatures("empty feature bag")
-    ids, mults = _bag_arrays(bag)
-    rows = model.input_embeddings[ids].astype(np.float64)
-    return (rows * mults[:, None]).sum(axis=0) / mults.sum()
+    return _mean_embedding(model.input_embeddings, *_bag_arrays(bag))
 
 
 def top_k(p: np.ndarray, k: int) -> np.ndarray:
@@ -166,17 +179,31 @@ class Scorer:
         self.model = model
         self._out = model.output_weights.astype(np.float64)
 
-    def probs(self, text: str) -> np.ndarray:
-        """Checked softmax probabilities in the model's label order.
+    def iter_probs(self, texts: Sequence[str]) -> Iterator[np.ndarray | None]:
+        """Per text, its checked softmax probabilities in the model's label
+        order, or None when it has no features.
 
-        Raises NoFeatures when the sentence yields an empty bag.
+        The texts are featurized as one batch; each is then scored on its
+        own, a float64 matvec per sentence.
         """
         model = self.model
-        bag = featurize(text, model.vocab, model.feature_config)
-        if not bag:
+        batch = featurize_batch(texts, model.vocab, model.feature_config)
+        mults = batch.counts.astype(np.float64)
+        bounds = batch.offsets.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo == hi:
+                yield None
+                continue
+            v = _mean_embedding(model.input_embeddings, batch.ids[lo:hi], mults[lo:hi])
+            p = softmax(self._out @ v)
+            check_probs(p, model.labels)
+            yield p
+
+    def probs(self, text: str) -> np.ndarray:
+        """:meth:`iter_probs` of one text; NoFeatures when it has no features."""
+        p = next(self.iter_probs([text]))
+        if p is None:
             raise NoFeatures(f"no features in {text!r}")
-        p = softmax(self._out @ sentence_vector(bag, model))
-        check_probs(p, model.labels)
         return p
 
 
@@ -186,7 +213,7 @@ def predict_dist(model: LidModel, text: str) -> PredictionDist:
     Raises NoFeatures when the sentence yields an empty bag (callers that
     want a total function should map that to the Undetermined sentinel,
     as :func:`predict` does).  To score many sentences, keep one
-    :class:`Scorer`.
+    :class:`Scorer` and pass them to :meth:`Scorer.iter_probs` in batches.
     """
     p = Scorer(model).probs(text)
     return PredictionDist(dict(zip(model.labels, p.tolist())))
@@ -312,16 +339,21 @@ def train(
         chunk[:] = rng.uniform(-1.0 / dim, 1.0 / dim, size=chunk.shape)
     out = np.zeros((len(vocab.labels), dim), dtype=np.float32)
 
-    # featurize once; a sentence with an empty bag cannot drive an update,
-    # nor one whose label min_count_label cut, which has no output row
+    # featurize once, in batches; each example is (ids, bag weights, gold
+    # row), the first two views into its batch's arrays.  A sentence whose
+    # label min_count_label cut has no output row, and one with an empty bag
+    # cannot drive an update
+    labeled = [(line.text, label_row[line.label]) for line in corpus
+               if line.label in label_row]
     examples: list[tuple[np.ndarray, np.ndarray, int]] = []
-    for line in corpus:
-        gold = label_row.get(line.label)
-        bag = featurize(line.text, vocab, feature_config) if gold is not None else None
-        if not bag:
-            continue
-        ids, mults = _bag_arrays(bag)
-        examples.append((ids, (mults / mults.sum()).astype(np.float32), gold))
+    for start in range(0, len(labeled), BATCH_LINES):
+        part = labeled[start : start + BATCH_LINES]
+        batch = featurize_batch([text for text, _ in part], vocab, feature_config)
+        row_of = np.repeat(np.arange(len(part)), np.diff(batch.offsets))
+        weights = (batch.counts / np.bincount(row_of, batch.counts)[row_of]).astype(np.float32)
+        bounds = batch.offsets.tolist()
+        examples += [(batch.ids[lo:hi], weights[lo:hi], gold)
+                     for (_, gold), lo, hi in zip(part, bounds, bounds[1:]) if lo < hi]
     if not examples:
         raise NoFeatures("no sentence in the corpus produced features")
 
@@ -340,21 +372,24 @@ def train(
     lr0 = train_config.lr
 
     step = 0
-    for epoch in range(train_config.epochs):
-        loss_sum = 0.0
-        for _ in range(steps_per_epoch):
-            lr = lr0 * (1.0 - step / total_steps)
-            pool = pools[lang_seq[step]]
-            ids, w, gold = examples[pool[rng.integers(0, len(pool))]]
-            loss, g_emb, g_out = _loss_and_grads(emb, out, ids, w, gold)
-            if not math.isfinite(loss):
-                raise ValueError(f"training diverged at step {step}: loss {loss}")
-            loss_sum += loss
-            out -= lr * g_out
-            emb[ids] -= lr * g_emb  # ids are unique within a bag
-            step += 1
-        if progress is not None:
-            progress(epoch + 1, train_config.epochs, loss_sum / steps_per_epoch)
+    # a diverging run overflows before its loss turns non-finite; the check
+    # below reports it, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(train_config.epochs):
+            loss_sum = 0.0
+            for _ in range(steps_per_epoch):
+                lr = lr0 * (1.0 - step / total_steps)
+                pool = pools[lang_seq[step]]
+                ids, w, gold = examples[pool[rng.integers(0, len(pool))]]
+                loss, g_emb, g_out = _loss_and_grads(emb, out, ids, w, gold)
+                if not math.isfinite(loss):
+                    raise ValueError(f"training diverged at step {step}: loss {loss}")
+                loss_sum += loss
+                out -= lr * g_out
+                emb[ids] -= lr * g_emb  # ids are unique within a bag
+                step += 1
+            if progress is not None:
+                progress(epoch + 1, train_config.epochs, loss_sum / steps_per_epoch)
 
     return LidModel(vocab, feature_config, train_config, emb, out)
 
@@ -368,13 +403,14 @@ def _pack_str(s: str) -> bytes:
 
 
 class _Cursor:
-    """Bounds-checked reader over the model file's byte buffer."""
+    """Bounds-checked reader over the model file's byte buffer; what it
+    takes are views, not copies."""
 
     def __init__(self, data: bytes, start: int):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = start
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise CorruptModel("unexpected end of model file")
         chunk = self.data[self.pos : self.pos + n]
@@ -387,7 +423,7 @@ class _Cursor:
     def take_str(self) -> str:
         (n,) = self.unpack("<I")
         try:
-            return self.take(n).decode("utf-8")
+            return str(self.take(n), "utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptModel(f"bad string in model file: {exc}") from None
 
@@ -449,7 +485,7 @@ def load_model(path: str) -> LidModel:
     if len(data) < cur.pos + 4:
         raise CorruptModel("unexpected end of model file")
     (stored_crc,) = struct.unpack("<I", data[-4:])
-    if zlib.crc32(data[:-4]) != stored_crc:
+    if zlib.crc32(memoryview(data)[:-4]) != stored_crc:
         raise CorruptModel("checksum mismatch")
 
     min_count, min_count_label, word_ngrams, bucket, minn, maxn = cur.unpack("<QQIQII")

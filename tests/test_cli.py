@@ -3,10 +3,11 @@ import os
 import random
 import re
 import sys
+import warnings
 
 import pytest
 
-from lidkit.cli import main
+from lidkit.cli import _TRAIN_FLAGS, main
 from lidkit.features import FeatureConfig
 from lidkit.model import TrainConfig, load_model
 
@@ -127,15 +128,21 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_1_before_the_second_epoch(self, workdir, tmp_path, capsys):
         out = tmp_path / "m.bin"
-        rc, _, err = run(
-            capsys,
-            ["train", "-input", workdir["corpus"], "-output", str(out), "-minCount", "1",
-             "-dim", "4", "-epoch", "3", "-bucket", "500", "-lr", "1e30"],
-        )
+        # numpy warnings go through the warnings module, which pytest would
+        # capture apart from stderr; record them to see what stderr would show
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, _, err = run(
+                capsys,
+                ["train", "-input", workdir["corpus"], "-output", str(out), "-minCount", "1",
+                 "-dim", "4", "-epoch", "3", "-bucket", "500", "-lr", "1e30"],
+            )
         assert rc == 1
         assert re.search(r"training diverged at step \d+", err)
         assert err.count("avg-loss") < 2
         assert not out.exists()
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     @pytest.mark.parametrize("flag, default", [
         ("minCount", FeatureConfig().min_count),
@@ -158,6 +165,23 @@ class TestTrain:
         options = " ".join(out[out.index("-h, --help"):].split())
         match = re.search(rf"-{flag} {flag.upper()} [^()]*\(default ([^)]*)\)", options)
         assert match and match.group(1) == str(default)
+
+    def test_readme_table_lists_every_flag_with_its_dataclass_default(self):
+        readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            section = fh.read().split("\n### train\n", 1)[1].split("\n### ", 1)[0]
+        documented = {}
+        for line in section.splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if len(cells) == 3 and cells[0].startswith("`-"):
+                # a row may pair flags, as "`-minn` / `-maxn` | 2 / 5"
+                flags = [flag.strip("` ")[1:] for flag in cells[0].split("/")]
+                defaults = [default.strip() for default in cells[1].split("/")]
+                assert len(flags) == len(defaults), line
+                documented.update(zip(flags, defaults))
+        assert sorted(documented) == sorted(_TRAIN_FLAGS)
+        for flag, (cls, name, _, _) in _TRAIN_FLAGS.items():
+            assert documented[flag] == str(getattr(cls(), name)), flag
 
     def test_malformed_corpus_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

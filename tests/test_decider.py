@@ -185,3 +185,27 @@ def test_counts_lines_without_features_as_undetermined():
     assert decider.rank("", 2) == [(UNDETERMINED, 1.0)]
     assert decider.decide("   ") == UNDETERMINED
     assert (decider.lines, decider.no_feature, decider.und) == (2, 2, 2)
+
+
+@pytest.mark.parametrize("size", [1, 7, 40])
+def test_batches_decide_and_rank_as_single_lines(size):
+    rng = np.random.default_rng(3)
+    labels = ["aa", "bb", "cc", "dd"]
+    words = (("xy", 2), ("z", 1))
+    vocab = Vocabulary(words, {"xy": 0, "z": 1}, tuple(labels))
+    model = LidModel(vocab, FeatureConfig(min_count=1, word_ngrams=2, bucket=50),
+                     TrainConfig(dim=3), rng.normal(size=(52, 3)).astype(np.float32),
+                     rng.normal(size=(4, 3)).astype(np.float32))
+    texts = [" ".join(rng.choice(["xy", "z", "q́", "\U0001F600w", "xy"], size=n))
+             for n in rng.integers(0, 5, size=40)]
+    hierarchy = LanguageHierarchy({"cc": "aa"})
+    config = DecisionConfig.for_model({"aa", "bb", "dd"}, 0.3)
+    single, batched = Decider(model, config, hierarchy), Decider(model, config, hierarchy)
+    want = [hexed(single.rank(t, 2)) for t in texts] + [single.decide(t) for t in texts]
+    chunks = [texts[i : i + size] for i in range(0, len(texts), size)]
+    got = [hexed(pairs) for chunk in chunks for pairs in batched.rank_batch(chunk, 2)]
+    got += [label for chunk in chunks for label in batched.decide_batch(chunk)]
+    assert got == want
+    assert (batched.lines, batched.no_feature, batched.und) == (
+        single.lines, single.no_feature, single.und)
+    assert single.no_feature > 0

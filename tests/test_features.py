@@ -10,15 +10,46 @@ from lidkit.errors import NoLabels
 from lidkit.features import (
     FeatureBag,
     FeatureConfig,
+    Vocabulary,
+    _hash_strings,
     build_vocab,
     char_ngrams,
     featurize,
+    featurize_batch,
     hash_ngram,
     tokenize,
 )
 
 FNV_BASIS = 2166136261
 FNV_PRIME = 16777619
+
+
+# astral emoji and musical symbols, a combining acute that may start a
+# token, CJK, two-byte Latin and ASCII; spaces and a tab split tokens
+UNICODE_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from("ab\u0301\U0001F600\U0001D11E日é \t"),
+                       st.characters(blacklist_categories=("Cs",))),
+    max_size=30,
+)
+
+
+def scalar_bag(text, vocab, config):
+    """The bag as (id, count) pairs in first-occurrence order, from the
+    scalar n-gram and hash functions."""
+    counts = {}
+    tokens = text.split()
+    ids = []
+    for tok in tokens:
+        if tok in vocab.word_index:
+            ids.append(vocab.word_index[tok])
+        ids += [vocab.size + hash_ngram(g, config.bucket)
+                for g in char_ngrams(tok, config.minn, config.maxn)]
+    for n in range(2, config.word_ngrams + 1):
+        ids += [vocab.size + hash_ngram(" ".join(tokens[i : i + n]), config.bucket)
+                for i in range(len(tokens) - n + 1)]
+    for i in ids:
+        counts[i] = counts.get(i, 0) + 1
+    return list(counts.items())
 
 
 def small_config(**kw):
@@ -97,6 +128,22 @@ class TestHashNgram:
     @given(st.text(max_size=20), st.integers(min_value=1, max_value=10**6))
     def test_range(self, s, bucket):
         assert 0 <= hash_ngram(s, bucket) < bucket
+
+
+class TestVectorizedHash:
+    @given(st.lists(UNICODE_TEXT, max_size=12),
+           st.sampled_from([1, 7, 2**32, 2**32 + 1]))
+    def test_matches_scalar_hash(self, strings, bucket):
+        assert _hash_strings(strings, bucket).tolist() == [hash_ngram(s, bucket) for s in strings]
+
+    def test_known_vectors(self):
+        assert _hash_strings(["a", "foobar", ""], 2**32).tolist() == [
+            0xE40C292C, 0xBF9CF968, FNV_BASIS]
+
+    def test_bucket_past_uint32_keeps_the_hash(self):
+        # 2^32 + 1 would wrap to 1 in uint32; every hash is below it
+        h = _hash_strings(["\U0001F600x", "\u0301"], 2**32 + 1).tolist()
+        assert h == [hash_ngram("\U0001F600x", 2**32), hash_ngram("\u0301", 2**32)]
 
 
 class TestBuildVocab:
@@ -221,6 +268,54 @@ class TestFeaturize:
                 for gram in char_ngrams(tok, config.minn, config.maxn):
                     expected[vocab.size + hash_ngram(gram, config.bucket)] += 1
             assert featurize(text, vocab, config).counts == expected
+
+
+class TestFeaturizeBatch:
+    VOCAB_WORDS = (("ab", 5), ("日", 3), ("\u0301", 2), ("x", 1))
+
+    def vocab(self):
+        words = self.VOCAB_WORDS
+        return Vocabulary(words, {w: i for i, (w, _) in enumerate(words)}, ("l",))
+
+    @given(st.lists(UNICODE_TEXT, max_size=8),
+           st.integers(min_value=1, max_value=7),
+           st.integers(min_value=0, max_value=3),
+           st.integers(min_value=1, max_value=3),
+           st.sampled_from([1, 3, 97, 1_000_003]))
+    @settings(max_examples=200)
+    def test_rows_match_scalar_oracle_in_order(self, texts, minn, extra, word_ngrams, bucket):
+        # minn up to 7 exceeds the wrapped length of short tokens; buckets
+        # of 1 and 3 force collisions between n-grams
+        config = FeatureConfig(min_count=1, word_ngrams=word_ngrams, bucket=bucket,
+                               minn=minn, maxn=minn + extra)
+        vocab = self.vocab()
+        batch = featurize_batch(texts, vocab, config)
+        assert len(batch) == len(texts)
+        for i, text in enumerate(texts):
+            expected = scalar_bag(text, vocab, config)
+            ids, counts = batch.row(i)
+            assert list(zip(ids.tolist(), counts.tolist())) == expected
+            assert list(featurize(text, vocab, config).counts.items()) == expected
+
+    def test_repeated_tokens_count_in_first_occurrence_order(self):
+        config = small_config(word_ngrams=3, bucket=10_007)
+        vocab = self.vocab()
+        text = "x ab x ab x \U0001F600 ab"
+        bag = featurize(text, vocab, config)
+        assert list(bag.counts.items()) == scalar_bag(text, vocab, config)
+        assert bag.counts[vocab.word_index["x"]] == 3
+        assert list(bag.counts)[0] == vocab.word_index["x"]
+
+    def test_minn_longer_than_every_wrapped_word(self):
+        config = small_config(minn=6, maxn=8)
+        bag = featurize("ab x 日", self.vocab(), config)
+        assert list(bag.counts.items()) == [(0, 1), (3, 1), (1, 1)]
+
+    def test_empty_batch_and_empty_rows(self):
+        vocab, config = self.vocab(), small_config()
+        assert len(featurize_batch([], vocab, config)) == 0
+        batch = featurize_batch(["", "ab", "  "], vocab, config)
+        assert batch.offsets[0] == 0 and [len(batch.row(i)[0]) for i in (0, 2)] == [0, 0]
 
 
 class TestFeatureConfig:

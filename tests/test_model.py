@@ -368,6 +368,30 @@ class TestSerialization:
         with pytest.raises(CorruptModel):
             load_model(str(path))
 
+    def test_invalid_utf8_label_with_valid_checksum(self, tmp_path):
+        import struct
+        import zlib
+
+        model, _ = self.build()
+        path = tmp_path / "m.bin"
+        save_model(model, str(path))
+        blob = bytearray(path.read_bytes())
+        label = model.labels[0].encode("utf-8")
+        at = blob.index(struct.pack("<I", len(label)) + label) + 4
+        blob[at : at + len(label)] = b"\xff" * len(label)
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptModel, match="bad string"):
+            load_model(str(path))
+
+    def test_loaded_arrays_own_their_data(self, tmp_path):
+        model, _ = self.build()
+        path = tmp_path / "m.bin"
+        save_model(model, str(path))
+        loaded = load_model(str(path))
+        for array in (loaded.input_embeddings, loaded.output_weights):
+            assert array.flags.owndata and array.flags.writeable and array.base is None
+
     def test_tiny_file(self, tmp_path):
         path = tmp_path / "tiny.bin"
         path.write_bytes(b"GL")
