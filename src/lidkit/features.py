@@ -272,27 +272,33 @@ def featurize_batch(texts: Sequence[str], vocab: Vocabulary, config: FeatureConf
     # every sentence's feature sequence, with multiplicity
     item = np.array(items, dtype=np.int64)
     item = np.where(item >= 0, item, n_words + ~item)
-    item_row = np.repeat(np.arange(len(texts)), np.array(row_items, dtype=np.int64))
     span = sizes[item]
-    span_end = np.cumsum(span)
-    seq = table[np.repeat(begin[item] - span_end + span, span) + np.arange(span.sum())]
-    seq_row = np.repeat(item_row, span)
+    seq = table[np.repeat(begin[item] - np.cumsum(span) + span, span) + np.arange(span.sum())]
 
-    # distinct (row, id) pairs at their first occurrence, with their counts
-    key = seq_row * (offset + min(config.bucket, 1 << 32)) + seq
-    order = np.argsort(key)
-    sorted_key = key[order]
-    head = np.ones(len(seq) + 1, dtype=bool)  # group starts, then the end
-    head[1:-1] = sorted_key[1:] != sorted_key[:-1]
-    group = np.flatnonzero(head)
-    at = np.minimum.reduceat(order, group[:-1]) if len(seq) else group[:0]
+    # its distinct (row, id) pairs at their first occurrence, with their counts
+    width = offset + min(config.bucket, 1 << 32)  # every id is below it
+    row_base = np.repeat(np.arange(len(texts)) * width, np.array(row_items, dtype=np.int64))
+    keys, at, n = _distinct(np.repeat(row_base, span) + seq)
     first = np.zeros(len(seq), dtype=bool)
     first[at] = True
     counts = np.zeros(len(seq), dtype=np.int64)
-    counts[at] = group[1:] - group[:-1]
+    counts[at] = n
     offsets = np.zeros(len(texts) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(seq_row[first], minlength=len(texts)), out=offsets[1:])
+    np.cumsum(np.bincount(keys // width, minlength=len(texts)), out=offsets[1:])
     return FeatureBatch(seq[first], counts[first], offsets)
+
+
+def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of ``key`` in ascending order, the index of each
+    one's first occurrence, and how often each occurs."""
+    order = np.argsort(key)
+    key = key[order]
+    head = np.ones(len(key) + 1, dtype=bool)  # group starts, then the end
+    head[1:-1] = key[1:] != key[:-1]
+    group = np.flatnonzero(head)[:-1]
+    if not len(key):
+        return key, order, group
+    return key[group], np.minimum.reduceat(order, group), np.diff(group, append=len(key))
 
 
 def featurize(text: str, vocab: Vocabulary, config: FeatureConfig) -> FeatureBag:
