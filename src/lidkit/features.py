@@ -149,11 +149,13 @@ def _utf8(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The UTF-8 bytes of the concatenated strings, the byte offset of each
     of their codepoints plus the end, and each string's codepoint count."""
     joined = "".join(strings)
+    # UTF-8 first, so a lone surrogate fails as it does in hash_ngram
+    buf = np.frombuffer(joined.encode("utf-8"), dtype=np.uint8)
     cps = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32)
     at = np.zeros(len(cps) + 1, dtype=np.int64)
     np.cumsum(1 + (cps >= 0x80) + (cps >= 0x800) + (cps >= 0x10000), out=at[1:])
     lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
-    return np.frombuffer(joined.encode("utf-8"), dtype=np.uint8), at, lengths
+    return buf, at, lengths
 
 
 def _fnv1a_spans(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

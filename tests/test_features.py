@@ -311,6 +311,13 @@ class TestFeaturizeBatch:
         bag = featurize("ab x 日", self.vocab(), config)
         assert list(bag.counts.items()) == [(0, 1), (3, 1), (1, 1)]
 
+    def test_lone_surrogate_fails_as_the_scalar_hash_does(self):
+        # stdin decoded with surrogateescape turns undecodable bytes into these
+        with pytest.raises(UnicodeEncodeError, match="'utf-8' codec"):
+            hash_ngram("a\udcffb", 97)
+        with pytest.raises(UnicodeEncodeError, match="'utf-8' codec"):
+            featurize("a\udcffb", self.vocab(), small_config())
+
     def test_empty_batch_and_empty_rows(self):
         vocab, config = self.vocab(), small_config()
         assert len(featurize_batch([], vocab, config)) == 0
