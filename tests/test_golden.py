@@ -4,7 +4,11 @@ A small model is trained here from a seeded corpus, then `predict` and
 `clean` run over a fixed input under several flag sets.  A second model,
 trained with word bigrams on text with astral characters and combining
 marks, runs `predict -k 3` and `clean` over about 2,100 lines: more than
-two of the CLI's input chunks.  Every printed
+two of the CLI's input chunks.  A third, planted model has 257 labels and
+dim 40, so its output layer spans more than one row block of the scorer
+(257 is one more than a multiple of 128); it runs `predict -k 3` with a
+hierarchy, a base set and a threshold, and `clean`, over about 1,300
+lines.  Every printed
 probability is a float repr, so the goldens pin the decision path bit for
 bit: label order, tie breaks, the rollup summation order and the
 probability printed on an `und` row.
@@ -25,13 +29,18 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from typing import Sequence
 
+import numpy as np
 import pytest
 
+import lidkit
 from lidkit.cli import main
+from lidkit.features import FeatureConfig, Vocabulary
+from lidkit.model import LidModel, TrainConfig, save_model
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 LABELS = ["aaa", "bbb", "ccc", "ddd", "eee", "fff"]
@@ -63,6 +72,16 @@ BIGRAM_CASES = {
     "bigram_clean.txt": ("clean", []),
 }
 BIGRAM_LINES = 2100
+
+# the planted set: (golden file, subcommand, flags)
+PLANTED_CASES = {
+    "planted_predict_k3.tsv": ("predict", ["-k", "3", "-hierarchy", "{hierarchy}",
+                                           "-base-set", "{base_set}", "-theta", "0.3"]),
+    "planted_clean.txt": ("clean", ["-theta", "0.3"]),
+}
+PLANTED_LABELS = [f"p{i:03d}" for i in range(257)]
+PLANTED_DIM = 40
+PLANTED_LINES = 1300
 
 
 def _lexicons(rng: random.Random) -> dict[str, list[str]]:
@@ -154,11 +173,72 @@ def write_bigram_inputs(root: str) -> dict[str, str]:
     return paths
 
 
-def bigram_output(paths: dict[str, str], name: str, out_dir: str) -> str:
-    """The output of one word-bigram case; for clean, the stdout followed by
-    every routed file under a '--- name' header."""
-    command, flags = BIGRAM_CASES[name]
-    argv = [command, "-model", paths["model"], "-input", paths["input"], *flags]
+def write_planted_inputs(root: str) -> dict[str, str]:
+    """Write the planted model, its hierarchy, base set and input lines under root.
+
+    Each label owns four words whose embeddings point along the label's
+    output row; n-gram rows are noise.  A line of one label's words puts
+    about half the mass on it and spreads the rest over the other 256.
+    """
+    rng = random.Random(20231027)
+    nrng = np.random.default_rng(20231027)
+    labels, dim = PLANTED_LABELS, PLANTED_DIM
+    letters = "abcdefghijklmnopqrstuvwxyzäöüß"
+    words = sorted({"".join(rng.choices(letters, k=rng.randint(3, 7)))
+                    for _ in range(5 * len(labels))})
+    rng.shuffle(words)
+    lexicon = [words[4 * i : 4 * i + 4] for i in range(len(labels))]
+    vocab_words = sorted(w for lex in lexicon for w in lex)
+    word_id = {w: i for i, w in enumerate(vocab_words)}
+    config = FeatureConfig(min_count=1, bucket=3000)
+    u = nrng.standard_normal((len(labels), dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    emb = (0.1 * nrng.standard_normal((len(vocab_words) + config.bucket, dim))).astype(np.float32)
+    for li, lex in enumerate(lexicon):
+        for w in lex:
+            emb[word_id[w]] += (30.0 * u[li]).astype(np.float32)
+    out = (4.0 * u).astype(np.float32)
+    vocab = Vocabulary(tuple((w, 1) for w in vocab_words), word_id, tuple(labels))
+    paths = {name: os.path.join(root, name + ext) for name, ext in (
+        ("model", ".bin"), ("input", ".txt"), ("hierarchy", ".tsv"), ("base_set", ".txt"))}
+    save_model(LidModel(vocab, config, TrainConfig(dim=dim, seed=1), emb, out), paths["model"])
+
+    # p200..p239 fold two by two into p000..p019, p240..p256 into macros
+    # the model does not know
+    macro_of = {labels[200 + i]: labels[i // 2] for i in range(40)}
+    macro_of.update({labels[240 + i]: f"zz{i % 5}" for i in range(17)})
+    rolled = sorted({macro_of.get(l, l) for l in labels})
+    base = [l for l in rolled if rng.random() < 0.7] + ["qqq"]
+    with open(paths["hierarchy"], "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{v}\t{m}\n" for v, m in sorted(macro_of.items())))
+    with open(paths["base_set"], "w", encoding="utf-8") as fh:
+        fh.write("".join(l + "\n" for l in base))
+
+    lines = []
+    for _ in range(PLANTED_LINES):
+        kind = rng.random()
+        if kind < 0.04:
+            lines.append(rng.choice(["", "  ", "\t"]))
+            continue
+        a, b = rng.sample(range(len(labels)), 2)
+        line = rng.choices(lexicon[a], k=rng.randint(1, 5))
+        if kind < 0.35:
+            line += rng.choices(lexicon[b], k=rng.randint(1, 3))
+        if kind > 0.9:
+            # a word no label owns: only its n-grams count
+            line.append("".join(rng.choices(letters, k=rng.randint(2, 6))))
+        lines.append(" ".join(line))
+    with open(paths["input"], "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    return paths
+
+
+def routed_output(paths: dict[str, str], command: str, flags: Sequence[str],
+                  out_dir: str) -> str:
+    """The output of one command over paths["input"]; for clean, the stdout
+    followed by every routed file under a '--- name' header."""
+    argv = [command, "-model", paths["model"], "-input", paths["input"],
+            *(a.format(**paths) for a in flags)]
     if command == "clean":
         argv += ["-out-dir", out_dir]
     rc, out, _ = run(argv)
@@ -226,6 +306,14 @@ def bigram_paths(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def planted_paths(tmp_path_factory):
+    paths = write_planted_inputs(str(tmp_path_factory.mktemp("planted")))
+    assert model_digest(paths) == golden("planted_model.sha256"), \
+        "model differs from the goldens' model"
+    return paths
+
+
 def input_lines(paths: dict[str, str]) -> list[str]:
     with open(paths["input"], encoding="utf-8") as fh:
         return fh.read().splitlines()
@@ -265,7 +353,8 @@ def test_clean_stats_leave_output_alone(paths, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(BIGRAM_CASES))
 def test_bigram_output_matches_golden(bigram_paths, name, tmp_path):
-    assert bigram_output(bigram_paths, name, str(tmp_path / "routed")) == golden(name)
+    got = routed_output(bigram_paths, *BIGRAM_CASES[name], str(tmp_path / "routed"))
+    assert got == golden(name)
 
 
 def test_bigram_input_covers_the_batch_cases(bigram_paths):
@@ -275,6 +364,39 @@ def test_bigram_input_covers_the_batch_cases(bigram_paths):
     assert all(ch in text for ch in ("\U0001F600", "\U0001D11E", "\u0301"))
     assert any(not line.split() for line in lines)
     assert any(len(set(line.split())) < len(line.split()) for line in lines)
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED_CASES))
+def test_planted_output_matches_golden(planted_paths, name, tmp_path):
+    got = routed_output(planted_paths, *PLANTED_CASES[name], str(tmp_path / "routed"))
+    assert got == golden(name)
+
+
+def test_planted_input_covers_the_block_cases(planted_paths):
+    lines = input_lines(planted_paths)
+    assert len(PLANTED_LABELS) % 128 == 1  # a one-row tail of the output layer
+    assert PLANTED_DIM >= 32
+    # past the 1,024-line read chunk, and past a 256-line block in the second
+    assert len(lines) > 1024 + 256
+    assert any(not line.split() for line in lines[:1024])
+    assert any(not line.split() for line in lines[1024:])
+
+
+def test_planted_predict_is_the_same_under_two_blas_threads(planted_paths):
+    # a threaded OpenBLAS gemv splits the output layer by rows, so the
+    # scorer's row blocks must give the same bits at those splits too
+    _, flags = PLANTED_CASES["planted_predict_k3.tsv"]
+    argv = [sys.executable, "-m", "lidkit.cli", "predict", "-model", planted_paths["model"],
+            "-input", planted_paths["input"], *(a.format(**planted_paths) for a in flags)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lidkit.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(argv, env=env, capture_output=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].decode("utf-8") == golden("planted_predict_k3.tsv")
 
 
 def _write_goldens() -> None:
@@ -290,7 +412,13 @@ def _write_goldens() -> None:
         paths = write_bigram_inputs(root)
         outputs["bigram_model.sha256"] = model_digest(paths)
         for name in BIGRAM_CASES:
-            outputs[name] = bigram_output(paths, name, os.path.join(root, "routed"))
+            outputs[name] = routed_output(paths, *BIGRAM_CASES[name],
+                                          os.path.join(root, "routed"))
+    with tempfile.TemporaryDirectory() as root:
+        paths = write_planted_inputs(root)
+        outputs["planted_model.sha256"] = model_digest(paths)
+        for name, (command, flags) in PLANTED_CASES.items():
+            outputs[name] = routed_output(paths, command, flags, os.path.join(root, name))
     for name, text in outputs.items():
         with open(os.path.join(GOLDEN, name), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
