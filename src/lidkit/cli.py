@@ -40,6 +40,7 @@ from .evaluation import (
     confusion,
     intersect_scope,
     reliability,
+    skew_testset,
     write_calibration,
     write_report,
 )
@@ -332,14 +333,9 @@ def cmd_eval(args) -> int:
         pred = map_labels(pred, label_map, strict=strict)
 
     if skew_path:
-        factors = _read_skew_factors(skew_path)
-        inflated_gold: list[str] = []
-        inflated_pred: list[str] = []
-        for g, p in zip(gold, pred):
-            n = factors.get(g, 1)
-            inflated_gold.extend([g] * n)
-            inflated_pred.extend([p] * n)
-        gold, pred = inflated_gold, inflated_pred
+        rows = skew_testset(list(zip(gold, pred)), _read_skew_factors(skew_path),
+                            label=lambda row: row[0])
+        gold, pred = [g for g, _ in rows], [p for _, p in rows]
 
     benchmark = {l for l in gold if l != UNDETERMINED}
     if scenario is Scenario.SET_KNOWN:

@@ -15,10 +15,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Mapping, Sequence
+from operator import attrgetter
+from typing import IO, Callable, Mapping, Sequence, TypeVar
 
-from .corpus import LabeledLine
 from .errors import EmptyScope, InputMismatch
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -112,20 +114,24 @@ def cleanness(counts: ConfusionCounts, label: str) -> float:
 
 
 def skew_testset(
-    test: Sequence[LabeledLine], inflate: Mapping[str, int]
-) -> list[LabeledLine]:
+    test: Sequence[T],
+    inflate: Mapping[str, int],
+    label: Callable[[T], str] = attrgetter("label"),
+) -> list[T]:
     """Replicate each line by its label's factor (replicas adjacent).
 
     Simulates realistic label imbalance: inflating a high-resource
     language multiplies the false positives it feeds into everyone else
-    while leaving their true positives alone.
+    while leaving their true positives alone.  The lines are
+    :class:`LabeledLine` by default; ``label`` gives the gold label of
+    any other row, such as a (gold, predicted) pair.
     """
-    for label, factor in inflate.items():
+    for name, factor in inflate.items():
         if not isinstance(factor, int) or factor < 1:
-            raise ValueError(f"factor for {label!r} must be an integer >= 1")
-    out: list[LabeledLine] = []
+            raise ValueError(f"factor for {name!r} must be an integer >= 1")
+    out: list[T] = []
     for line in test:
-        out.extend([line] * inflate.get(line.label, 1))
+        out.extend([line] * inflate.get(label(line), 1))
     return out
 
 
