@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import EmptyScope, FormatError, UnmappedLabel
 from .model import UNDETERMINED, LidModel, PredictionDist, Scorer, check_probs, top_k
+
+T = TypeVar("T")
 
 
 class Scenario(enum.Enum):
@@ -129,18 +131,13 @@ class _RollupPlan:
         ]
 
     def apply(self, p: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(self.labels))
+        """``p`` rolled up along its last axis: one row or a block of rows."""
+        out = np.zeros(p.shape[:-1] + (len(self.labels),))
         rows, cols = self._own
-        out[rows] = p[cols]
+        out[..., rows] = p[..., cols]
         for rows, cols in self._slots:
-            out[rows] += p[cols]  # rows are distinct within a slot
+            out[..., rows] += p[..., cols]  # rows are distinct within a slot
         return out
-
-
-def _decision(q: np.ndarray, j: int, labels: Sequence[str], theta: float) -> str:
-    """The label of base-set column ``j``, the first maximum of ``q``, or
-    Undetermined when that raw maximum is below theta."""
-    return labels[j] if q[j] >= theta else UNDETERMINED
 
 
 class Decider:
@@ -148,11 +145,11 @@ class Decider:
 
     Built once from a model, a decision config and an optional hierarchy.
     It takes lines in batches: it featurizes a batch at once, then per
-    line computes the model's probabilities (:class:`Scorer`), folds
-    varieties with a column plan, takes the base-set columns in sorted
-    label order, and decides by their first maximum and theta.  It counts
-    the lines it scored, those with no features and the Undetermined
-    decisions (no-feature lines included).
+    block of lines computes the model's probabilities (:class:`Scorer`),
+    folds varieties with a column plan, takes the base-set columns in
+    sorted label order, and decides each line by their first maximum and
+    theta.  It counts the lines it scored, those with no features and the
+    Undetermined decisions (no-feature lines included).
     """
 
     def __init__(
@@ -175,30 +172,51 @@ class Decider:
         self.no_feature = 0
         self.und = 0
 
-    def _iter_probs(self, texts: Sequence[str]) -> Iterator[np.ndarray | None]:
-        """The model's probabilities for each line; None without features."""
-        for p in self._scorer.iter_probs(texts):
-            self.lines += 1
-            if p is None:
-                self.no_feature += 1
-                self.und += 1
-            yield p
+    def _per_line(self, texts: Sequence[str], rows_of: Callable[[np.ndarray], list[T]],
+                  no_features: Callable[[], T]) -> list[T]:
+        """Per line of ``texts``: ``rows_of`` its block's probabilities, one
+        row per line with features, or ``no_features()``.  Counts the lines."""
+        out: list[T] = []
+        for has, p in self._scorer.iter_blocks(texts):
+            self.lines += len(has)
+            self.no_feature += len(has) - len(p)
+            self.und += len(has) - len(p)
+            rows = iter(rows_of(p))
+            out += [next(rows) if h else no_features() for h in has.tolist()]
+        return out
 
     def _base_probs(self, p: np.ndarray) -> np.ndarray:
         if self._plan is not None:
             p = self._plan.apply(p)
             check_probs(p, self._plan.labels)
-        return p[self._base_cols]
+        return p[:, self._base_cols]
 
-    def _decide_at(self, q: np.ndarray, j: int) -> str:
-        label = _decision(q, j, self._base_labels, self._theta)
-        self.und += label == UNDETERMINED
-        return label
+    def _decisions(self, q: np.ndarray, cols: np.ndarray) -> list[str]:
+        """Per row of ``q``, the label of its base-set column in ``cols``
+        (its first maximum), or Undetermined when that raw maximum is below
+        theta."""
+        sure = (q[np.arange(len(q)), cols] >= self._theta).tolist()
+        self.und += sure.count(False)
+        labels = self._base_labels
+        return [labels[c] if ok else UNDETERMINED for c, ok in zip(cols.tolist(), sure)]
+
+    def _decide_rows(self, p: np.ndarray) -> list[str]:
+        q = self._base_probs(p)
+        return self._decisions(q, np.argmax(q, axis=1))
+
+    def _rank_rows(self, p: np.ndarray, k: int) -> list[list[tuple[str, float]]]:
+        q = self._base_probs(p)
+        order = top_k(q, k)
+        labels = self._base_labels
+        ranked = np.take_along_axis(q, order, axis=1).tolist()
+        rows = []
+        for top, cols, probs in zip(self._decisions(q, order[:, 0]), order.tolist(), ranked):
+            rows.append([(top, probs[0])] + [(labels[c], x) for c, x in zip(cols[1:], probs[1:])])
+        return rows
 
     def decide_batch(self, texts: Sequence[str]) -> list[str]:
         """Each line's label, or Undetermined."""
-        return [UNDETERMINED if p is None else self.decide_probs(p)
-                for p in self._iter_probs(texts)]
+        return self._per_line(texts, self._decide_rows, lambda: UNDETERMINED)
 
     def decide(self, text: str) -> str:
         """:meth:`decide_batch` of one line."""
@@ -206,8 +224,7 @@ class Decider:
 
     def decide_probs(self, p: np.ndarray) -> str:
         """:meth:`decide` for the model's probabilities ``p``, in label order."""
-        q = self._base_probs(p)
-        return self._decide_at(q, int(np.argmax(q)))
+        return self._decide_rows(p[None])[0]
 
     def rank_batch(self, texts: Sequence[str], k: int) -> list[list[tuple[str, float]]]:
         """Per line, its decision and up to k base-set (label, probability) pairs.
@@ -217,8 +234,8 @@ class Decider:
         Undetermined decision keeps the raw base-set maximum as its
         probability.  A line with no features gives ``[(UNDETERMINED, 1.0)]``.
         """
-        return [[(UNDETERMINED, 1.0)] if p is None else self.rank_probs(p, k)
-                for p in self._iter_probs(texts)]
+        return self._per_line(texts, lambda p: self._rank_rows(p, k),
+                              lambda: [(UNDETERMINED, 1.0)])
 
     def rank(self, text: str, k: int) -> list[tuple[str, float]]:
         """:meth:`rank_batch` of one line."""
@@ -226,12 +243,7 @@ class Decider:
 
     def rank_probs(self, p: np.ndarray, k: int) -> list[tuple[str, float]]:
         """:meth:`rank` for the model's probabilities ``p``, in label order."""
-        q = self._base_probs(p)
-        order = top_k(q, k).tolist()
-        labels = self._base_labels
-        return [(self._decide_at(q, order[0]), float(q[order[0]]))] + [
-            (labels[i], float(q[i])) for i in order[1:]
-        ]
+        return self._rank_rows(p[None], k)[0]
 
 
 def decide(dist: PredictionDist, config: DecisionConfig) -> str:
@@ -247,7 +259,8 @@ def decide(dist: PredictionDist, config: DecisionConfig) -> str:
                         count=len(labels))
     except KeyError as exc:
         raise ValueError(f"base set label {exc.args[0]!r} not in distribution") from None
-    return _decision(q, int(np.argmax(q)), labels, config.theta)
+    j = int(np.argmax(q))
+    return labels[j] if q[j] >= config.theta else UNDETERMINED
 
 
 def rollup(dist: PredictionDist, hierarchy: LanguageHierarchy) -> PredictionDist:

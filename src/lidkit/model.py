@@ -80,15 +80,22 @@ class PredictionDist:
 
 
 def check_probs(p: np.ndarray, labels: Iterable[str]) -> None:
-    """ValueError unless ``p`` is a distribution over ``labels``: every
-    entry in [0, 1] and the total 1, each within float tolerance."""
-    # min and max are NaN when any entry is, and NaN fails both comparisons
-    if p.size and not (p.min() >= -1e-9 and p.max() <= 1.0 + 1e-9):
-        i = int(np.flatnonzero(~((p >= -1e-9) & (p <= 1.0 + 1e-9)))[0])
-        raise ValueError(f"probability out of range for {list(labels)[i]}: {float(p[i])}")
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"probabilities sum to {total}, not 1")
+    """ValueError unless ``p``, or each row of a 2-D ``p``, is a
+    distribution over ``labels``: every entry in [0, 1] and the total 1,
+    each within float tolerance.  The first bad row is the one reported."""
+    rows = np.atleast_2d(p)
+    # min and max are NaN when any entry is, and NaN fails both comparisons;
+    # the initial values, themselves in range, let a row be empty
+    lo, hi = rows.min(axis=1, initial=0.0), rows.max(axis=1, initial=1.0)
+    in_range = (lo >= -1e-9) & (hi <= 1.0 + 1e-9)
+    totals = rows.sum(axis=1)
+    bad = ~in_range | (np.abs(totals - 1.0) > 1e-6)
+    if bad.any():
+        r = int(np.argmax(bad))
+        if not in_range[r]:
+            i = int(np.flatnonzero(~((rows[r] >= -1e-9) & (rows[r] <= 1.0 + 1e-9)))[0])
+            raise ValueError(f"probability out of range for {list(labels)[i]}: {float(rows[r, i])}")
+        raise ValueError(f"probabilities sum to {float(totals[r])}, not 1")
 
 
 @dataclass(frozen=True)
@@ -124,11 +131,16 @@ class LidModel:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax in float64 (max-subtracted exponentials)."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    """Stable softmax in float64 along the last axis (max-subtracted
+    exponentials)."""
+    return _softmax_in_place(np.array(logits, dtype=np.float64))
+
+
+def _softmax_in_place(z: np.ndarray) -> np.ndarray:
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _bag_arrays(bag: FeatureBag) -> tuple[np.ndarray, np.ndarray]:
@@ -153,18 +165,33 @@ def sentence_vector(bag: FeatureBag, model: LidModel) -> np.ndarray:
 
 
 def top_k(p: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries, largest first.
+    """Column indices of the k largest entries of each row of a 2-D ``p``,
+    largest first; of the entries of a 1-D ``p``, its one row.
 
-    The sort is stable, so equal entries keep their column order; over
+    Equal entries keep their column order, as in a stable sort; over
     columns in sorted label order, ties go to the smaller label.
     """
-    n = len(p)
+    rows = np.atleast_2d(p)
+    n = rows.shape[1]
     if k < n:
-        # only entries at least as large as the k-th largest can rank; the
-        # stable sort of those, in column order, ranks them as a full one would
-        cand = np.flatnonzero(p >= np.partition(p, n - k)[n - k])
-        return cand[np.argsort(-p[cand], kind="stable")[:k]]
-    return np.argsort(-p, kind="stable")
+        # only entries at least as large as their row's k-th largest can
+        # rank; ordered by (row, -value, column), each row's first k of
+        # those are the first k of its stable full sort
+        kth = np.partition(rows, n - k, axis=1)[:, n - k]
+        row, col = np.nonzero(rows >= kth[:, None])
+        order = np.lexsort((col, -rows[row, col], row))
+        row, col = row[order], col[order]
+        first = np.searchsorted(row, np.arange(len(rows)))
+        top = col[np.arange(len(row)) - first[row] < k].reshape(len(rows), k)
+    else:
+        top = np.argsort(-rows, axis=1, kind="stable")
+    return top if p.ndim == 2 else top[0]
+
+
+# lines scored at once: their (lines, labels) arrays stay a few MiB
+LINE_BLOCK = 256
+# output-layer rows per matrix-vector product, a multiple of 4 (see Scorer)
+ROW_BLOCK = 128
 
 
 class Scorer:
@@ -173,38 +200,65 @@ class Scorer:
     The output layer is cast to float64 once, here: multiplying the
     float32 matrix by the float64 sentence vector gives the same logits
     but casts the whole matrix again on every sentence.
+
+    Lines are scored LINE_BLOCK at a time and the output layer ROW_BLOCK
+    rows at a time: one stacked matrix-vector product per row block over
+    the block's sentence vectors, so that the rows stay in cache across the
+    lines.  Each product runs the gemv a single ``out @ v`` runs, and gives
+    its bits, as long as every row block starts at a multiple of 4 rows and
+    none has a single row, which numpy hands to ``dot`` instead (measured
+    with OpenBLAS); a one-row tail joins the block before it.  A matrix
+    product over the lines would move the logits' last bits.
     """
 
     def __init__(self, model: LidModel):
         self.model = model
         self._out = model.output_weights.astype(np.float64)
+        n = len(model.labels)
+        bounds = list(range(0, n, ROW_BLOCK)) + [n]
+        if len(bounds) > 2 and n - bounds[-2] == 1:
+            del bounds[-2]
+        self._row_blocks = list(zip(bounds, bounds[1:]))
 
-    def iter_probs(self, texts: Sequence[str]) -> Iterator[np.ndarray | None]:
-        """Per text, its checked softmax probabilities in the model's label
-        order, or None when it has no features.
+    def iter_blocks(self, texts: Sequence[str]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Per block of up to LINE_BLOCK texts, in order: which of them have
+        features (a boolean array), and the checked softmax probabilities
+        of those, one row each, in the model's label order.
 
-        The texts are featurized as one batch; each is then scored on its
-        own, a float64 matvec per sentence.
+        The texts are featurized as one batch.
         """
         model = self.model
         batch = featurize_batch(texts, model.vocab, model.feature_config)
         mults = batch.counts.astype(np.float64)
-        bounds = batch.offsets.tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            if lo == hi:
-                yield None
-                continue
-            v = _mean_embedding(model.input_embeddings, batch.ids[lo:hi], mults[lo:hi])
-            p = softmax(self._out @ v)
-            check_probs(p, model.labels)
-            yield p
+        for start in range(0, len(texts), LINE_BLOCK):
+            bounds = batch.offsets[start : start + LINE_BLOCK + 1]
+            has = bounds[1:] > bounds[:-1]
+            spans = [(lo, hi) for lo, hi in zip(bounds.tolist(), bounds[1:].tolist()) if lo < hi]
+            v = np.empty((len(spans), model.train_config.dim))
+            for row, (lo, hi) in enumerate(spans):
+                v[row] = _mean_embedding(model.input_embeddings, batch.ids[lo:hi], mults[lo:hi])
+            yield has, self._probs(v)
+
+    def _logits(self, v: np.ndarray) -> np.ndarray:
+        """The logits of the sentence vectors ``v``, one row each."""
+        logits = np.empty((len(v), len(self._out)))
+        for r0, r1 in self._row_blocks:
+            np.matmul(self._out[r0:r1], v[:, :, None], out=logits[:, r0:r1, None])
+        return logits
+
+    def _probs(self, v: np.ndarray) -> np.ndarray:
+        """Checked softmax probabilities of the sentence vectors ``v``, one row each."""
+        p = _softmax_in_place(self._logits(v))
+        check_probs(p, self.model.labels)
+        return p
 
     def probs(self, text: str) -> np.ndarray:
-        """:meth:`iter_probs` of one text; NoFeatures when it has no features."""
-        p = next(self.iter_probs([text]))
-        if p is None:
+        """The probabilities of one text, a block of one; NoFeatures when it
+        has no features."""
+        has, p = next(self.iter_blocks([text]))
+        if not has[0]:
             raise NoFeatures(f"no features in {text!r}")
-        return p
+        return p[0]
 
 
 def predict_dist(model: LidModel, text: str) -> PredictionDist:
@@ -213,7 +267,7 @@ def predict_dist(model: LidModel, text: str) -> PredictionDist:
     Raises NoFeatures when the sentence yields an empty bag (callers that
     want a total function should map that to the Undetermined sentinel,
     as :func:`predict` does).  To score many sentences, keep one
-    :class:`Scorer` and pass them to :meth:`Scorer.iter_probs` in batches.
+    :class:`Scorer` and pass them to :meth:`Scorer.iter_blocks` in batches.
     """
     p = Scorer(model).probs(text)
     return PredictionDist(dict(zip(model.labels, p.tolist())))

@@ -71,22 +71,25 @@ def oracle_rank(dist, hierarchy, config, k):
 LABEL = st.text(alphabet="abcd", min_size=1, max_size=2)
 
 
+def draw_probs(draw, n: int) -> np.ndarray:
+    """A distribution over n labels with exact ties and zeros."""
+    # small integer weights give exact ties, zeros and tied rollup sums
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if not any(weights):
+        weights[draw(st.integers(0, n - 1))] = 1
+    if draw(st.booleans()):
+        return np.array(weights, dtype=np.float64) / sum(weights)
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    raw[np.array(weights) == 0] = 0.0
+    return raw / raw.sum() if raw.sum() > 0 else np.array(weights, dtype=np.float64) / sum(weights)
+
+
 @st.composite
 def cases(draw):
     """A sorted label set, a distribution over it with ties and zeros, a
     flat hierarchy, a base set, k and theta."""
     labels = sorted(draw(st.sets(LABEL, min_size=1, max_size=9)))
-    # small integer weights give exact ties, zeros and tied rollup sums
-    weights = draw(st.lists(st.integers(0, 3), min_size=len(labels), max_size=len(labels)))
-    if not any(weights):
-        weights[draw(st.integers(0, len(labels) - 1))] = 1
-    if draw(st.booleans()):
-        p = np.array(weights, dtype=np.float64) / sum(weights)
-    else:
-        raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(labels),
-                                     max_size=len(labels))))
-        raw[np.array(weights) == 0] = 0.0
-        p = raw / raw.sum() if raw.sum() > 0 else np.array(weights, dtype=np.float64) / sum(weights)
+    p = draw_probs(draw, len(labels))
     hierarchy = None
     if draw(st.booleans()):
         varieties = draw(st.sets(st.sampled_from(labels), max_size=len(labels) - 1))
@@ -154,6 +157,51 @@ def test_adapters_match_oracle_bit_for_bit(case, rnd):
 def test_top_k_is_a_stable_full_sort(weights, k):
     p = np.array(weights, dtype=np.float64)
     want = sorted(range(len(p)), key=lambda i: (-p[i], i))[:k]
+    assert top_k(p, k).tolist() == want
+
+
+@st.composite
+def block_cases(draw):
+    """A case, the rows of a block of lines and which lines have features,
+    split into the scorer's blocks."""
+    labels, p, hierarchy, base, k, theta = draw(cases())
+    rows = [p] + [draw_probs(draw, len(labels)) for _ in range(draw(st.integers(0, 11)))]
+    has = draw(st.permutations([True] * len(rows) + [False] * draw(st.integers(0, 4))))
+    size = draw(st.integers(1, len(has)))
+    blocks, seen = [], 0
+    for start in range(0, len(has), size):
+        part = np.array(has[start : start + size])
+        blocks.append((part, np.array(rows[seen : seen + part.sum()]).reshape(-1, len(labels))))
+        seen += part.sum()
+    return labels, rows, hierarchy, base, k, theta, blocks
+
+
+@settings(max_examples=300)
+@given(block_cases())
+def test_batches_decide_and_rank_rows_as_single_rows(case):
+    labels, rows, hierarchy, base, k, theta, blocks = case
+    universe = {hierarchy.macro_of.get(l, l) for l in labels} if hierarchy else labels
+    config = DecisionConfig.for_model(universe, theta, base)
+    single, ranked, decided = (Decider(tiny_model(labels), config, hierarchy) for _ in range(3))
+    for decider in (ranked, decided):
+        decider._scorer.iter_blocks = lambda texts: iter(blocks)
+    n = sum(len(has) for has, _ in blocks)
+    missing = n - len(rows)
+    rows = iter(rows)
+    want = [hexed(single.rank_probs(next(rows), k) if h else [(UNDETERMINED, 1.0)])
+            for has, _ in blocks for h in has]
+    assert [hexed(pairs) for pairs in ranked.rank_batch([""] * n, k)] == want
+    assert decided.decide_batch([""] * n) == [pairs[0][0] for pairs in want]
+    for decider in (ranked, decided):
+        assert (decider.lines, decider.no_feature, decider.und) == (
+            n, missing, single.und + missing)
+
+
+@given(st.lists(st.lists(st.integers(0, 3), min_size=12, max_size=12), min_size=1, max_size=8),
+       st.integers(1, 30), st.integers(1, 14))
+def test_top_k_of_a_block_is_each_row_stable_full_sort(weights, n, k):
+    p = np.array(weights, dtype=np.float64)[:, : min(n, 12)]
+    want = [sorted(range(p.shape[1]), key=lambda i: (-row[i], i))[:k] for row in p]
     assert top_k(p, k).tolist() == want
 
 

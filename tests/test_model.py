@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lidkit.model
 from lidkit.corpus import CorpusStats, LabeledLine
@@ -10,6 +12,7 @@ from lidkit.features import FeatureBag, FeatureConfig, Vocabulary, build_vocab, 
 from lidkit.model import (
     UNDETERMINED,
     LidModel,
+    Scorer,
     TrainConfig,
     _bag_arrays,
     example_loss_and_grads,
@@ -133,6 +136,46 @@ class TestSoftmaxAndPredict:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             predict(toy_model(), "w0", k=0)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    diff = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert not diff.size, (f"{diff.size} entries differ, first at {diff[0]}: "
+                           f"{float(got.flat[diff[0]]).hex()} != {float(want.flat[diff[0]]).hex()}")
+
+
+class TestBlockedScorer:
+    """The scorer's row-blocked products over blocks of lines against one
+    float64 ``out @ v`` and one softmax per sentence, bit for bit."""
+
+    @pytest.mark.parametrize("n_labels", [1, 2, 3, 5, 127, 128, 129, 130, 257, 1601])
+    @pytest.mark.parametrize("lines", [1, 7, 300])
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([8, 40, 256]))
+    def test_logits_and_probs_equal_per_row_matvec(self, n_labels, lines, seed, dim):
+        rng = np.random.default_rng(seed)
+        labels = tuple(f"l{i:04d}" for i in range(n_labels))
+        out = (rng.standard_normal((n_labels, dim)) / np.sqrt(dim)).astype(np.float32)
+        model = LidModel(Vocabulary((), {}, labels), FeatureConfig(bucket=1),
+                         TrainConfig(dim=dim), np.zeros((1, dim), dtype=np.float32), out)
+        scorer = Scorer(model)
+        v = rng.standard_normal((lines, dim)) * rng.uniform(0.1, 30.0)
+        want = np.array([scorer._out @ row for row in v])
+        assert_same_bits(scorer._logits(v), want)
+        assert_same_bits(scorer._probs(v), np.array([softmax(row) for row in want]))
+
+    def test_texts_score_in_blocks_as_one_at_a_time(self):
+        m = toy_model(seed=4)
+        texts = [["w0 w1", "", "w2 zz w2", "  "][i % 4] + f" x{i}" * (i % 3)
+                 for i in range(2 * lidkit.model.LINE_BLOCK + 5)]
+        scorer = Scorer(m)
+        blocks = list(scorer.iter_blocks(texts))
+        assert [len(has) for has, _ in blocks] == [lidkit.model.LINE_BLOCK] * 2 + [5]
+        has = np.concatenate([h for h, _ in blocks])
+        got = np.concatenate([p for _, p in blocks])
+        assert has.tolist() == [bool(featurize(t, m.vocab, m.feature_config)) for t in texts]
+        assert_same_bits(got, np.array([scorer.probs(t) for t, h in zip(texts, has) if h]))
 
 
 class TestTemperatureWeights:
