@@ -16,6 +16,7 @@ preceding bytes.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -456,20 +457,28 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-class _Cursor:
-    """Bounds-checked reader over the model file's byte buffer; what it
-    takes are views, not copies."""
+# matrix bytes read, and checksummed, per call
+_READ_CHUNK = 16 << 20
 
-    def __init__(self, data: bytes, start: int):
-        self.data = memoryview(data)
-        self.pos = start
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
+class _Reader:
+    """Bounds-checked reader over an open model file that keeps the CRC32 of
+    what it has read; ``left`` bytes remain."""
+
+    def __init__(self, fh: BinaryIO, size: int):
+        self.fh = fh
+        self.left = size
+        self.crc = 0
+
+    def take(self, n: int) -> bytes:
+        if n > self.left:
             raise CorruptModel("unexpected end of model file")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
+        data = self.fh.read(n)
+        if len(data) != n:
+            raise CorruptModel("unexpected end of model file")
+        self.left -= n
+        self.crc = zlib.crc32(data, self.crc)
+        return data
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -477,9 +486,21 @@ class _Cursor:
     def take_str(self) -> str:
         (n,) = self.unpack("<I")
         try:
-            return str(self.take(n), "utf-8")
+            return self.take(n).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptModel(f"bad string in model file: {exc}") from None
+
+    def take_f32(self, rows: int, cols: int) -> np.ndarray:
+        """A little-endian f32 matrix, read straight into an array it owns."""
+        out = np.empty((rows, cols), dtype="<f4")
+        view = memoryview(out.reshape(-1).view(np.uint8))
+        for start in range(0, len(view), _READ_CHUNK):
+            chunk = view[start : start + _READ_CHUNK]
+            if len(chunk) > self.left or self.fh.readinto(chunk) != len(chunk):
+                raise CorruptModel("unexpected end of model file")
+            self.left -= len(chunk)
+            self.crc = zlib.crc32(chunk, self.crc)
+        return out
 
 
 def save_model(model: LidModel, path: str) -> None:
@@ -525,22 +546,20 @@ def load_model(path: str) -> LidModel:
     """Read a model file back; inverse of :func:`save_model`.
 
     Raises UnsupportedFormat for wrong magic or unknown versions, and
-    CorruptModel for truncation or checksum failure — never a partially
-    constructed model.
+    CorruptModel for truncation, sizes that do not fit the file or checksum
+    failure — never a partially constructed model.  The matrices are read
+    in chunks straight into the arrays the model owns, with a running CRC.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < len(MODEL_MAGIC) or data[: len(MODEL_MAGIC)] != MODEL_MAGIC:
+        return _read_model(_Reader(fh, os.fstat(fh.fileno()).st_size))
+
+
+def _read_model(cur: _Reader) -> LidModel:
+    if cur.left < len(MODEL_MAGIC) or cur.take(len(MODEL_MAGIC)) != MODEL_MAGIC:
         raise UnsupportedFormat("not a model file (bad magic)")
-    cur = _Cursor(data, len(MODEL_MAGIC))
     (version,) = cur.unpack("<I")
     if version != MODEL_FORMAT_VERSION:
         raise UnsupportedFormat(f"unknown model format version {version}")
-    if len(data) < cur.pos + 4:
-        raise CorruptModel("unexpected end of model file")
-    (stored_crc,) = struct.unpack("<I", data[-4:])
-    if zlib.crc32(memoryview(data)[:-4]) != stored_crc:
-        raise CorruptModel("checksum mismatch")
 
     min_count, min_count_label, word_ngrams, bucket, minn, maxn = cur.unpack("<QQIQII")
     dim, epochs, lr = cur.unpack("<IId")
@@ -566,9 +585,15 @@ def load_model(path: str) -> LidModel:
     except ValueError as exc:
         raise CorruptModel(f"invalid config in model file: {exc}") from None
 
+    # a label takes at least 4 bytes and a word 12, so a count the file
+    # cannot hold fails here rather than after a long loop
     (n_labels,) = cur.unpack("<I")
+    if 4 * n_labels > cur.left:
+        raise CorruptModel("unexpected end of model file")
     labels = tuple(cur.take_str() for _ in range(n_labels))
     (n_words,) = cur.unpack("<Q")
+    if 12 * n_words > cur.left:
+        raise CorruptModel("unexpected end of model file")
     words = []
     for _ in range(n_words):
         word = cur.take_str()
@@ -578,13 +603,19 @@ def load_model(path: str) -> LidModel:
         tuple(words), {w: i for i, (w, _) in enumerate(words)}, labels
     )
 
+    # the sizes the header claims must be what is left, before allocating
     n_features = n_words + bucket
-    emb_bytes = cur.take(n_features * dim * 4)
-    out_bytes = cur.take(n_labels * dim * 4)
-    if cur.pos != len(data) - 4:
+    matrix_bytes = (n_features + n_labels) * dim * 4
+    if matrix_bytes + 4 > cur.left:
+        raise CorruptModel("unexpected end of model file")
+    if matrix_bytes + 4 < cur.left:
         raise CorruptModel("trailing bytes in model file")
-    emb = np.frombuffer(emb_bytes, dtype="<f4").reshape(n_features, dim).copy()
-    out = np.frombuffer(out_bytes, dtype="<f4").reshape(n_labels, dim).copy()
+    emb = cur.take_f32(n_features, dim)
+    out = cur.take_f32(n_labels, dim)
+    crc = cur.crc
+    (stored_crc,) = cur.unpack("<I")
+    if crc != stored_crc:
+        raise CorruptModel("checksum mismatch")
     try:
         return LidModel(vocab, feature_config, train_config, emb, out)
     except ValueError as exc:

@@ -435,6 +435,23 @@ class TestSerialization:
         for array in (loaded.input_embeddings, loaded.output_weights):
             assert array.flags.owndata and array.flags.writeable and array.base is None
 
+    def test_header_claiming_a_huge_bucket_is_corrupt(self, tmp_path):
+        import struct
+        import zlib
+
+        model, _ = self.build()
+        path = tmp_path / "m.bin"
+        save_model(model, str(path))
+        blob = bytearray(path.read_bytes())
+        # magic, version, min_count, min_count_label, word_ngrams, then bucket
+        at = 8 + 4 + 8 + 8 + 4
+        assert struct.unpack_from("<Q", blob, at) == (400,)
+        struct.pack_into("<Q", blob, at, 2**60)
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptModel, match="unexpected end"):
+            load_model(str(path))
+
     def test_tiny_file(self, tmp_path):
         path = tmp_path / "tiny.bin"
         path.write_bytes(b"GL")
