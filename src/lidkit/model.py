@@ -15,8 +15,10 @@ preceding bytes.
 
 from __future__ import annotations
 
+import io
 import math
 import os
+import stat
 import struct
 import zlib
 from dataclasses import dataclass
@@ -551,7 +553,12 @@ def load_model(path: str) -> LidModel:
     in chunks straight into the arrays the model owns, with a running CRC.
     """
     with open(path, "rb") as fh:
-        return _read_model(_Reader(fh, os.fstat(fh.fileno()).st_size))
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            return _read_model(_Reader(fh, info.st_size))
+        # a pipe has no size to check the header against until it is read
+        data = fh.read()
+    return _read_model(_Reader(io.BytesIO(data), len(data)))
 
 
 def _read_model(cur: _Reader) -> LidModel:

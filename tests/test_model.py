@@ -1,3 +1,4 @@
+import os
 import random
 
 import numpy as np
@@ -451,6 +452,23 @@ class TestSerialization:
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptModel, match="unexpected end"):
             load_model(str(path))
+
+    def test_loads_from_a_pipe(self, tmp_path):
+        import threading
+
+        model, corpus = self.build()
+        path = tmp_path / "m.bin"
+        save_model(model, str(path))
+        fifo = tmp_path / "m.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        try:
+            loaded = load_model(str(fifo))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert predict(loaded, corpus[0].text, k=3) == predict(model, corpus[0].text, k=3)
 
     def test_tiny_file(self, tmp_path):
         path = tmp_path / "tiny.bin"
