@@ -5,8 +5,8 @@ text classifiers (-minCount, -minn, -maxn, -bucket, -dim, -epoch, -lr,
 -wordNgrams, -loss, -minCountLabel).  Every subcommand also accepts
 ``-config FILE``: a flat UTF-8 ``key=value`` file whose keys are the flag
 names with dashes replaced by underscores (e.g. ``minCount=1``,
-``out_dir=clean/``).  Explicit flags override config-file values, which
-override the built-in defaults.
+``out_dir=clean/``); other keys are ignored.  Explicit flags override
+config-file values, which override the declared defaults.
 
 Exit codes: 0 success, 1 usage or validation problem, 2 data error
 (malformed corpus/model/report inputs), 3 I/O failure.
@@ -29,6 +29,8 @@ from .decision import (
     Decider,
     DecisionConfig,
     Scenario,
+    _pairs_to_map,
+    _read_pair_lines,
     load_hierarchy,
     load_label_map,
     load_label_set,
@@ -89,19 +91,6 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-def _resolve(args, cfg: dict[str, str], name: str, cast: Callable, default):
-    """Flag value if given, else config-file value, else default."""
-    value = getattr(args, name)
-    if value is not None:
-        return value
-    if name in cfg:
-        try:
-            return cast(cfg[name])
-        except ValueError as exc:
-            raise _UsageError(f"bad config value {name}={cfg[name]!r}: {exc}") from None
-    return default
-
-
 def _check_theta(theta: float) -> float:
     if not 0.0 <= theta <= 1.0:
         raise _UsageError(f"theta must be in [0, 1], got {theta}")
@@ -149,28 +138,12 @@ def _read_label_column(path: str) -> list[str]:
 
 
 def _read_skew_factors(path: str) -> dict[str, int]:
-    factors: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 'label<TAB>factor'")
-            label, factor_str = parts
-            try:
-                factor = int(factor_str)
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{lineno}: factor must be an integer"
-                ) from None
-            if factor < 1:
-                raise FormatError(f"{path}:{lineno}: factor must be >= 1")
-            if label in factors:
-                raise FormatError(f"{path}:{lineno}: duplicate label {label!r}")
-            factors[label] = factor
-    return factors
+    """label<TAB>factor lines; each factor is an integer of at least 1."""
+    rows = _read_pair_lines(path)
+    for lineno, _, factor in rows:
+        if not (factor.isascii() and factor.isdigit() and int(factor) >= 1):
+            raise FormatError(f"{path}:{lineno}: factor must be an integer >= 1")
+    return {label: int(factor) for label, factor in _pairs_to_map(path, rows).items()}
 
 
 # train flag -> (config class, field, cast, help); the defaults live in the dataclasses
@@ -190,69 +163,58 @@ _TRAIN_FLAGS: dict[str, tuple[type, str, Callable, str]] = {
 }
 
 
-def _config_from_flags(cls: type, args, cfg: dict[str, str]):
-    """``cls`` from the train flags or config keys given; unset fields keep defaults."""
-    given = {name: _resolve(args, cfg, flag, cast, None)
-             for flag, (owner, name, cast, _) in _TRAIN_FLAGS.items() if owner is cls}
-    return cls(**{name: value for name, value in given.items() if value is not None})
+def _config_from_flags(cls: type, args):
+    """``cls`` from the parsed train options that it owns."""
+    return cls(**{name: getattr(args, flag)
+                  for flag, (owner, name, _, _) in _TRAIN_FLAGS.items() if owner is cls})
 
 
 # --- subcommands ------------------------------------------------------------
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    corpus_path = _resolve(args, cfg, "input", str, None)
-    model_path = _resolve(args, cfg, "output", str, None)
-    if not corpus_path or not model_path:
+    if not args.input or not args.output:
         raise _UsageError("train needs -input and -output")
-    feature_config = _config_from_flags(FeatureConfig, args, cfg)
-    train_config = _config_from_flags(TrainConfig, args, cfg)
-    corpus = read_corpus(corpus_path)
+    feature_config = _config_from_flags(FeatureConfig, args)
+    train_config = _config_from_flags(TrainConfig, args)
+    corpus = read_corpus(args.input)
 
     def progress(epoch: int, epochs: int, avg_loss: float) -> None:
         print(f"epoch {epoch}/{epochs} avg-loss {avg_loss:.4f}", file=sys.stderr)
 
     model = train(corpus, feature_config, train_config, progress)
-    save_model(model, model_path)
-    print(f"trained {len(model.labels)} labels -> {model_path}", file=sys.stderr)
+    save_model(model, args.output)
+    print(f"trained {len(model.labels)} labels -> {args.output}", file=sys.stderr)
     return 0
 
 
 def cmd_predict(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    model_path = _resolve(args, cfg, "model", str, None)
-    if not model_path:
+    if not args.model:
         raise _UsageError("predict needs -model")
-    theta = _check_theta(_resolve(args, cfg, "theta", float, 0.0))
-    k = _resolve(args, cfg, "k", int, 1)
-    if k < 1:
+    theta = _check_theta(args.theta)
+    if args.k < 1:
         raise _UsageError("k must be >= 1")
-    input_path = _resolve(args, cfg, "input", str, None)
-    hierarchy_path = _resolve(args, cfg, "hierarchy", str, None)
-    base_set_path = _resolve(args, cfg, "base_set", str, None)
-    stats = _resolve(args, cfg, "stats", _parse_bool, False)
 
-    model = load_model(model_path)
-    hierarchy = load_hierarchy(hierarchy_path) if hierarchy_path else None
+    model = load_model(args.model)
+    hierarchy = load_hierarchy(args.hierarchy) if args.hierarchy else None
     # varieties are consolidated before the base-set restriction applies,
     # so the decision universe is the rolled-up label inventory
     universe: frozenset[str] = frozenset(
         hierarchy.macro_of.get(l, l) for l in model.labels
     ) if hierarchy else frozenset(model.labels)
-    base_set = load_label_set(base_set_path) if base_set_path else None
+    base_set = load_label_set(args.base_set) if args.base_set else None
     decider = Decider(model, DecisionConfig.for_model(universe, theta, base_set), hierarchy)
 
     start = time.perf_counter()
-    stream = _open_input(input_path)
+    stream = _open_input(args.input)
     try:
         for chunk in _iter_chunks(stream):
             sys.stdout.write("".join("\t".join(f"{l}\t{p}" for l, p in pairs) + "\n"
-                                     for pairs in decider.rank_batch(chunk, k)))
+                                     for pairs in decider.rank_batch(chunk, args.k)))
     finally:
         if stream is not sys.stdin:
             stream.close()
-    if stats:
+    if args.stats:
         _report_stats(decider, start)
     return 0
 
@@ -264,16 +226,11 @@ def _safe_filename(label: str) -> str:
 
 
 def cmd_clean(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    model_path = _resolve(args, cfg, "model", str, None)
-    out_dir = _resolve(args, cfg, "out_dir", str, None)
-    if not model_path or not out_dir:
+    if not args.model or not args.out_dir:
         raise _UsageError("clean needs -model and -out-dir")
-    theta = _check_theta(_resolve(args, cfg, "theta", float, 0.0))
-    input_path = _resolve(args, cfg, "input", str, None)
-    stats = _resolve(args, cfg, "stats", _parse_bool, False)
+    theta = _check_theta(args.theta)
 
-    model = load_model(model_path)
+    model = load_model(args.model)
     decider = Decider(model, DecisionConfig.for_model(model.labels, theta))
     counts: Counter[str] = Counter()
     files: dict[str, IO[str]] = {}
@@ -281,14 +238,14 @@ def cmd_clean(args) -> int:
     def route(label: str, text: str) -> None:
         fh = files.get(label)
         if fh is None:
-            os.makedirs(out_dir, exist_ok=True)  # lazily, so empty input makes nothing
-            fh = open(os.path.join(out_dir, _safe_filename(label)), "w", encoding="utf-8")
+            os.makedirs(args.out_dir, exist_ok=True)  # lazily, so empty input makes nothing
+            fh = open(os.path.join(args.out_dir, _safe_filename(label)), "w", encoding="utf-8")
             files[label] = fh
         fh.write(text + "\n")
         counts[label] += 1
 
     start = time.perf_counter()
-    stream = _open_input(input_path)
+    stream = _open_input(args.input)
     try:
         for chunk in _iter_chunks(stream):
             for line, label in zip(chunk, decider.decide_batch(chunk)):
@@ -299,49 +256,41 @@ def cmd_clean(args) -> int:
         if stream is not sys.stdin:
             stream.close()
     write_label_tsv(sys.stdout, counts)
-    if stats:
+    if args.stats:
         _report_stats(decider, start)
     return 0
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    gold_path = _resolve(args, cfg, "gold", str, None)
-    pred_path = _resolve(args, cfg, "pred", str, None)
-    if not gold_path or not pred_path:
+    if not args.gold or not args.pred:
         raise _UsageError("eval needs -gold and -pred")
-    scenario_str = _resolve(args, cfg, "scenario", str, Scenario.SET_KNOWN.value)
-    try:
-        scenario = Scenario(scenario_str)
+    try:  # argparse checks choices on flags, not on a config file's value
+        scenario = Scenario(args.scenario)
     except ValueError:
         raise _UsageError(f"scenario must be one of "
-                          f"{[s.value for s in Scenario]}, got {scenario_str!r}") from None
-    map_path = _resolve(args, cfg, "map", str, None)
-    skew_path = _resolve(args, cfg, "skew", str, None)
-    model_labels_path = _resolve(args, cfg, "model_labels", str, None)
-    strict = _resolve(args, cfg, "strict_labels", _parse_bool, False)
+                          f"{[s.value for s in Scenario]}, got {args.scenario!r}") from None
 
-    gold = _read_label_column(gold_path)
-    pred = _read_label_column(pred_path)
+    gold = _read_label_column(args.gold)
+    pred = _read_label_column(args.pred)
     if len(gold) != len(pred):
         raise InputMismatch(
-            f"{gold_path} has {len(gold)} rows but {pred_path} has {len(pred)}"
+            f"{args.gold} has {len(gold)} rows but {args.pred} has {len(pred)}"
         )
-    if map_path:
-        label_map = load_label_map(map_path)
-        gold = map_labels(gold, label_map, strict=strict)
-        pred = map_labels(pred, label_map, strict=strict)
+    if args.map:
+        label_map = load_label_map(args.map)
+        gold = map_labels(gold, label_map, strict=args.strict_labels)
+        pred = map_labels(pred, label_map, strict=args.strict_labels)
 
-    if skew_path:
-        rows = skew_testset(list(zip(gold, pred)), _read_skew_factors(skew_path),
+    if args.skew:
+        rows = skew_testset(list(zip(gold, pred)), _read_skew_factors(args.skew),
                             label=lambda row: row[0])
         gold, pred = [g for g, _ in rows], [p for _, p in rows]
 
     benchmark = {l for l in gold if l != UNDETERMINED}
     if scenario is Scenario.SET_KNOWN:
-        if model_labels_path:
-            model_labels = set(load_label_set(model_labels_path))
-            if map_path:
+        if args.model_labels:
+            model_labels = set(load_label_set(args.model_labels))
+            if args.map:
                 model_labels = set(map_labels(sorted(model_labels), label_map, strict=False))
         else:
             model_labels = {l for l in pred if l != UNDETERMINED}
@@ -353,43 +302,36 @@ def cmd_eval(args) -> int:
 
 
 def cmd_contam(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    test_path = _resolve(args, cfg, "test", str, None)
-    train_path = _resolve(args, cfg, "train", str, None)
-    if not test_path or not train_path:
+    if not args.test or not args.train:
         raise _UsageError("contam needs -test and -train")
-    rates = contamination_rate(read_corpus(test_path), read_corpus(train_path))
+    rates = contamination_rate(read_corpus(args.test), read_corpus(args.train))
     write_label_tsv(sys.stdout, rates)
     return 0
 
 
 def cmd_calib(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    gold_path = _resolve(args, cfg, "gold", str, None)
-    pred_path = _resolve(args, cfg, "pred", str, None)
-    if not gold_path or not pred_path:
+    if not args.gold or not args.pred:
         raise _UsageError("calib needs -gold and -pred")
-    n_bins = _resolve(args, cfg, "bins", int, 10)
-    if n_bins < 1:
+    if args.bins < 1:
         raise _UsageError("bins must be >= 1")
 
-    gold = _read_label_column(gold_path)
+    gold = _read_label_column(args.gold)
     pred_labels: list[str] = []
     confidences: list[float] = []
-    with open(pred_path, encoding="utf-8") as fh:
+    with open(args.pred, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             parts = raw.rstrip("\n").split("\t")
             if len(parts) < 2:
-                raise FormatError(f"{pred_path}:{lineno}: expected 'label<TAB>prob'")
+                raise FormatError(f"{args.pred}:{lineno}: expected 'label<TAB>prob'")
             try:
                 conf = float(parts[1])
             except ValueError:
-                raise FormatError(f"{pred_path}:{lineno}: bad probability") from None
+                raise FormatError(f"{args.pred}:{lineno}: bad probability") from None
             if not 0.0 <= conf <= 1.0:
-                raise FormatError(f"{pred_path}:{lineno}: probability out of [0, 1]")
+                raise FormatError(f"{args.pred}:{lineno}: probability out of [0, 1]")
             pred_labels.append(parts[0])
             confidences.append(conf)
-    bins = reliability(pred_labels, confidences, gold, n_bins)
+    bins = reliability(pred_labels, confidences, gold, args.bins)
     write_calibration(sys.stdout, bins)
     return 0
 
@@ -397,85 +339,108 @@ def cmd_calib(args) -> int:
 # --- wiring -----------------------------------------------------------------
 
 
-def _add_config_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-config", help="key=value config file (flags override it)")
+class _Commands(_Parser):
+    """The top-level parser.  ``parse`` makes a ``-config`` file's values the
+    subcommand's defaults, which argparse casts and checks as it does flags;
+    flags beat them, and they beat the declared defaults.  That changes the
+    subcommand parser, so build a fresh one per command line."""
+
+    def __init__(self) -> None:
+        super().__init__(prog="lidkit", allow_abbrev=False,
+                         description="Train, run, and evaluate a language identifier.")
+        self.subcommands = self.add_subparsers(dest="command", required=True,
+                                               parser_class=_Parser)
+
+    def command(self, name: str, func: Callable[..., int], help: str) -> _Parser:
+        p = self.subcommands.add_parser(name, allow_abbrev=False, help=help)
+        p.add_argument("-config", help="key=value config file (flags override it)")
+        p.set_defaults(func=func)
+        return p
+
+    def parse(self, argv: list[str]) -> argparse.Namespace:
+        args = self.parse_args(argv)
+        if not args.config:
+            return args
+        defaults = {}
+        for key, value in _load_config(args.config).items():
+            if key in ("command", "config", "func") or not hasattr(args, key):
+                continue
+            if isinstance(getattr(args, key), bool):  # a switch has no type to cast with
+                try:
+                    value = _parse_bool(value)
+                except ValueError as exc:
+                    raise _UsageError(
+                        f"{args.config}: bad config value for {key}: {exc}") from None
+            defaults[key] = value
+        self.subcommands.choices[args.command].set_defaults(**defaults)
+        try:
+            return self.parse_args(argv)
+        except _UsageError as exc:
+            raise _UsageError(f"{args.config}: bad config value: {exc}") from None
+
+
+def _add_theta_flag(p: argparse.ArgumentParser, below: str) -> None:
+    p.add_argument("-theta", type=float, default=0.0,
+                   help=f"confidence threshold; below it {below} (default %(default)s)")
 
 
 def _add_stats_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-stats", action="store_true", default=None,
+    p.add_argument("-stats", action="store_true",
                    help="write a JSON line of line counts and lines/s to stderr")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="lidkit", allow_abbrev=False,
-                     description="Train, run, and evaluate a language identifier.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def build_parser() -> _Commands:
+    parser = _Commands()
 
-    p = sub.add_parser("train", allow_abbrev=False,
-                       help="train a classifier and write a model file")
+    p = parser.command("train", cmd_train, "train a classifier and write a model file")
     p.add_argument("-input", help="labeled training corpus")
     p.add_argument("-output", help="model file to write")
     for flag, (cls, name, cast, text) in _TRAIN_FLAGS.items():
-        p.add_argument(f"-{flag}", type=cast, help=f"{text} (default {getattr(cls(), name)})")
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_train)
+        p.add_argument(f"-{flag}", type=cast, default=getattr(cls(), name),
+                       help=f"{text} (default %(default)s)")
 
-    p = sub.add_parser("predict", allow_abbrev=False,
-                       help="label sentences line by line as TSV")
+    p = parser.command("predict", cmd_predict, "label sentences line by line as TSV")
     p.add_argument("-model", help="model file")
     p.add_argument("-input", help="sentences, one per line (default stdin)")
-    p.add_argument("-theta", type=float,
-                   help="confidence threshold; below it emit 'und' (default 0)")
-    p.add_argument("-k", type=int, help="emit the top k (label, prob) pairs (default 1)")
+    _add_theta_flag(p, "emit 'und'")
+    p.add_argument("-k", type=int, default=1,
+                   help="emit the k most probable labels with their probabilities "
+                        "(default %(default)s)")
     p.add_argument("-base-set", dest="base_set",
                    help="file of benchmark labels to restrict predictions to")
     p.add_argument("-hierarchy",
                    help="variety<TAB>macrolanguage file; consolidates before deciding")
     _add_stats_flag(p)
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("clean", allow_abbrev=False,
-                       help="route lines into per-language files")
+    p = parser.command("clean", cmd_clean, "route lines into per-language files")
     p.add_argument("-model", help="model file")
     p.add_argument("-input", help="sentences, one per line (default stdin)")
     p.add_argument("-out-dir", dest="out_dir", help="directory for <label>.txt files")
-    p.add_argument("-theta", type=float,
-                   help="confidence threshold; below it route to und.txt (default 0)")
+    _add_theta_flag(p, "route to und.txt")
     _add_stats_flag(p)
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_clean)
 
-    p = sub.add_parser("eval", allow_abbrev=False,
-                       help="score a prediction file against gold labels")
+    p = parser.command("eval", cmd_eval, "score a prediction file against gold labels")
     p.add_argument("-gold", help="gold labels (first TSV column, or a labeled corpus)")
     p.add_argument("-pred", help="predicted labels (first TSV column)")
     p.add_argument("-map", help="source<TAB>target relabeling applied to both sides")
     p.add_argument("-scenario", choices=[s.value for s in Scenario],
+                   default=Scenario.SET_KNOWN.value,
                    help="set-known scores benchmark ∩ model labels; "
-                        "set-unknown scores the full benchmark (default set-known)")
+                        "set-unknown scores the full benchmark (default %(default)s)")
     p.add_argument("-model-labels", dest="model_labels",
                    help="file listing the model's labels (default: labels seen in -pred)")
     p.add_argument("-skew", help="label<TAB>factor file; replicates gold rows")
     p.add_argument("-strict-labels", dest="strict_labels", action="store_true",
-                   default=None, help="fail on labels missing from -map")
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_eval)
+                   help="fail on labels missing from -map")
 
-    p = sub.add_parser("contam", allow_abbrev=False,
-                       help="per-label train/test contamination rates")
+    p = parser.command("contam", cmd_contam, "per-label train/test contamination rates")
     p.add_argument("-test", help="labeled test corpus")
     p.add_argument("-train", help="labeled training corpus")
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_contam)
 
-    p = sub.add_parser("calib", allow_abbrev=False,
-                       help="reliability bins from predictions with confidences")
+    p = parser.command("calib", cmd_calib, "reliability bins from predictions with confidences")
     p.add_argument("-gold", help="gold labels (first TSV column)")
     p.add_argument("-pred", help="label<TAB>prob predictions (as from predict)")
-    p.add_argument("-bins", type=int, help="number of bins (default 10)")
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_calib)
+    p.add_argument("-bins", type=int, default=10, help="number of bins (default %(default)s)")
 
     return parser
 
@@ -485,9 +450,8 @@ def main(argv: list[str] | None = None) -> int:
     if argv[:1] in (["--version"], ["-version"]):
         print(f"lidkit {__version__} (model format v{MODEL_FORMAT_VERSION})")
         return 0
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse(argv)  # fresh: parse sets a config file's defaults
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

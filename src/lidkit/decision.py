@@ -43,7 +43,6 @@ class Scenario(enum.Enum):
 class DecisionConfig:
     base_set: frozenset[str]
     theta: float
-    scenario: Scenario = Scenario.SET_UNKNOWN
 
     def __post_init__(self) -> None:
         if not self.base_set:
@@ -60,17 +59,17 @@ class DecisionConfig:
     ) -> "DecisionConfig":
         """Build a config against a model's label inventory.
 
-        With no base set the scenario is SET_UNKNOWN over all model labels;
-        otherwise SET_KNOWN over the intersection (labels the model cannot
-        emit are useless in the base set).  EmptyScope if nothing survives.
+        With no base set the base set is all model labels; otherwise it is
+        the intersection (labels the model cannot emit are useless in the
+        base set).  EmptyScope if nothing survives.
         """
         labels = frozenset(model_labels)
         if base_set is None:
-            return cls(labels, theta, Scenario.SET_UNKNOWN)
+            return cls(labels, theta)
         restricted = labels & frozenset(base_set)
         if not restricted:
             raise EmptyScope("base set shares no labels with the model")
-        return cls(restricted, theta, Scenario.SET_KNOWN)
+        return cls(restricted, theta)
 
 
 @dataclass(frozen=True)

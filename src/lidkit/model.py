@@ -15,6 +15,7 @@ preceding bytes.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import os
@@ -176,18 +177,16 @@ def top_k(p: np.ndarray, k: int) -> np.ndarray:
     """
     rows = np.atleast_2d(p)
     n = rows.shape[1]
-    if k < n:
-        # only entries at least as large as their row's k-th largest can
-        # rank; ordered by (row, -value, column), each row's first k of
-        # those are the first k of its stable full sort
-        kth = np.partition(rows, n - k, axis=1)[:, n - k]
-        row, col = np.nonzero(rows >= kth[:, None])
-        order = np.lexsort((col, -rows[row, col], row))
-        row, col = row[order], col[order]
-        first = np.searchsorted(row, np.arange(len(rows)))
-        top = col[np.arange(len(row)) - first[row] < k].reshape(len(rows), k)
-    else:
-        top = np.argsort(-rows, axis=1, kind="stable")
+    k = min(k, n)
+    # only entries at least as large as their row's k-th largest can rank;
+    # ordered by (row, -value, column), each row's first k of those are the
+    # first k of its stable full sort
+    kth = np.partition(rows, n - k, axis=1)[:, n - k]
+    row, col = np.nonzero(rows >= kth[:, None])
+    order = np.lexsort((col, -rows[row, col], row))
+    row, col = row[order], col[order]
+    first = np.searchsorted(row, np.arange(len(rows)))
+    top = col[np.arange(len(row)) - first[row] < k].reshape(len(rows), k)
     return top if p.ndim == 2 else top[0]
 
 
@@ -459,8 +458,8 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-# matrix bytes read, and checksummed, per call
-_READ_CHUNK = 16 << 20
+# matrix bytes read or written, and checksummed, per call
+_IO_CHUNK = 16 << 20
 
 
 class _Reader:
@@ -496,8 +495,8 @@ class _Reader:
         """A little-endian f32 matrix, read straight into an array it owns."""
         out = np.empty((rows, cols), dtype="<f4")
         view = memoryview(out.reshape(-1).view(np.uint8))
-        for start in range(0, len(view), _READ_CHUNK):
-            chunk = view[start : start + _READ_CHUNK]
+        for start in range(0, len(view), _IO_CHUNK):
+            chunk = view[start : start + _IO_CHUNK]
             if len(chunk) > self.left or self.fh.readinto(chunk) != len(chunk):
                 raise CorruptModel("unexpected end of model file")
             self.left -= len(chunk)
@@ -506,42 +505,74 @@ class _Reader:
 
 
 def save_model(model: LidModel, path: str) -> None:
-    """Write the binary model file (see the module docstring for layout)."""
+    """Write the binary model file (see the module docstring for layout).
+
+    A new path or an existing regular file is written to a temporary file
+    beside it, which then replaces it, so a failed write leaves the old file
+    as it was.  Anything else, as a FIFO or the /dev/stdout symlink, is
+    written in place: renaming over it would replace the node itself.
+    """
+    try:
+        info = os.lstat(path)
+    except FileNotFoundError:
+        info = None
+    if info is not None and not stat.S_ISREG(info.st_mode):
+        with open(path, "wb") as fh:
+            _write_model(model, fh)
+        return
+    # a new name opened with "xb" gets the mode open gives any new file
+    # (mkstemp's would be 0600)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            _write_model(model, fh)
+        if info is not None:
+            os.chmod(tmp, stat.S_IMODE(info.st_mode))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _write_model(model: LidModel, fh: BinaryIO) -> None:
     fc, tc = model.feature_config, model.train_config
     crc = 0
 
-    def emit(fh: BinaryIO, chunk: bytes) -> None:
+    def emit(chunk: bytes | memoryview) -> None:
         nonlocal crc
         crc = zlib.crc32(chunk, crc)
         fh.write(chunk)
 
-    with open(path, "wb") as fh:
-        emit(fh, MODEL_MAGIC)
-        emit(fh, struct.pack("<I", MODEL_FORMAT_VERSION))
-        emit(
-            fh,
-            struct.pack(
-                "<QQIQII",
-                fc.min_count,
-                fc.min_count_label,
-                fc.word_ngrams,
-                fc.bucket,
-                fc.minn,
-                fc.maxn,
-            ),
+    emit(MODEL_MAGIC)
+    emit(struct.pack("<I", MODEL_FORMAT_VERSION))
+    emit(
+        struct.pack(
+            "<QQIQII",
+            fc.min_count,
+            fc.min_count_label,
+            fc.word_ngrams,
+            fc.bucket,
+            fc.minn,
+            fc.maxn,
         )
-        emit(fh, struct.pack("<IId", tc.dim, tc.epochs, tc.lr))
-        emit(fh, _pack_str(tc.loss))
-        emit(fh, struct.pack("<dQ", tc.inv_temperature, tc.seed))
-        emit(fh, struct.pack("<I", len(model.vocab.labels)))
-        for label in model.vocab.labels:
-            emit(fh, _pack_str(label))
-        emit(fh, struct.pack("<Q", model.vocab.size))
-        for word, freq in model.vocab.words:
-            emit(fh, _pack_str(word) + struct.pack("<Q", freq))
-        emit(fh, np.ascontiguousarray(model.input_embeddings, dtype="<f4").tobytes())
-        emit(fh, np.ascontiguousarray(model.output_weights, dtype="<f4").tobytes())
-        fh.write(struct.pack("<I", crc))
+    )
+    emit(struct.pack("<IId", tc.dim, tc.epochs, tc.lr))
+    emit(_pack_str(tc.loss))
+    emit(struct.pack("<dQ", tc.inv_temperature, tc.seed))
+    emit(struct.pack("<I", len(model.vocab.labels)))
+    for label in model.vocab.labels:
+        emit(_pack_str(label))
+    emit(struct.pack("<Q", model.vocab.size))
+    for word, freq in model.vocab.words:
+        emit(_pack_str(word) + struct.pack("<Q", freq))
+    for matrix in (model.input_embeddings, model.output_weights):
+        # chunks of a view of the matrix, not a copy of its bytes
+        view = memoryview(np.ascontiguousarray(matrix, dtype="<f4").reshape(-1).view(np.uint8))
+        for start in range(0, len(view), _IO_CHUNK):
+            emit(view[start : start + _IO_CHUNK])
+    fh.write(struct.pack("<I", crc))
 
 
 def load_model(path: str) -> LidModel:

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import random
 import re
@@ -157,13 +158,22 @@ class TestTrain:
         ("loss", TrainConfig().loss),
         ("alpha", TrainConfig().inv_temperature),
         ("seed", TrainConfig().seed),
+        # the other subcommands' options, as "command -flag"
+        ("predict -theta", 0.0),
+        ("predict -k", 1),
+        ("clean -theta", 0.0),
+        ("eval -scenario", "set-known"),
+        ("calib -bins", 10),
     ])
     def test_help_names_the_dataclass_default(self, flag, default, capsys):
+        command, _, flag = flag.rpartition(" -")
         with pytest.raises(SystemExit):
-            main(["train", "-h"])
+            main([command or "train", "-h"])
         out = capsys.readouterr().out
         options = " ".join(out[out.index("-h, --help"):].split())
-        match = re.search(rf"-{flag} {flag.upper()} [^()]*\(default ([^)]*)\)", options)
+        # the metavar is the flag in capitals, or the {choices}
+        match = re.search(rf"-{flag} (?:{flag.upper()}|{{[^}}]*}}) [^()]*\(default ([^)]*)\)",
+                          options)
         assert match and match.group(1) == str(default)
 
     def test_readme_table_lists_every_flag_with_its_dataclass_default(self):
@@ -487,6 +497,20 @@ class TestEval:
         assert (int(tp), int(fp)) == (2, 3)
         assert float(cl) == pytest.approx(2 / 5)
 
+    @pytest.mark.parametrize("rows, needle", [
+        ("bb\t0\n", "skew.tsv:1: factor must be an integer >= 1"),
+        ("# comment\n\nbb\t+3\n", "skew.tsv:3: factor must be an integer >= 1"),
+        ("bb\t\u0663\n", "skew.tsv:1: factor must be an integer >= 1"),  # an Arabic-Indic 3
+        ("bb\t3\nbb\t2\n", "skew.tsv:2: duplicate source label 'bb'"),
+        ("bb 3\n", "skew.tsv:1: expected"),
+    ])
+    def test_bad_skew_file_is_data_error(self, tmp_path, capsys, rows, needle):
+        gold = self.write(tmp_path, "gold.txt", ["aa", "bb"])
+        skew = tmp_path / "skew.tsv"
+        skew.write_text(rows, encoding="utf-8")
+        rc, _, err = run(capsys, ["eval", "-gold", gold, "-pred", gold, "-skew", str(skew)])
+        assert rc == 2 and needle in err
+
     def test_undetermined_stays_out_of_scope(self, tmp_path, capsys):
         gold = self.write(tmp_path, "gold.txt", ["aa", "bb"])
         pred = self.write(tmp_path, "pred.txt", ["aa", "und"])
@@ -597,6 +621,181 @@ class TestConfigFile:
              "-output", str(tmp_path / "m.bin"), "-config", str(cfg)],
         )
         assert rc == 2
+
+
+@pytest.fixture(scope="module")
+def config_inputs(workdir):
+    """Input files for every option of predict, clean, eval, contam and calib."""
+    root = workdir["root"] / "config-inputs"
+    root.mkdir()
+    texts = [t for _, t in corpus_rows(workdir["corpus"])]
+    files = {
+        "in.txt": texts[::20] + ["x", ""],
+        "in2.txt": texts[5::30],
+        "base.txt": ["ccc"],
+        "base2.txt": ["aaa"],
+        "hier.tsv": ["bbb\taaa"],
+        "hier2.tsv": ["ccc\taaa"],
+        "gold.txt": ["aa", "aa", "bb", "cc", "dd", "ee"],
+        "pred.txt": ["aa", "bb", "bb", "aa", "dd", "aa"],
+        "map.tsv": ["dd\tcc"],
+        "map2.tsv": ["bb\taa"],
+        "skew.tsv": ["bb\t3"],
+        "skew2.tsv": ["aa\t2"],
+        "labels.txt": ["aa", "bb"],
+        "labels2.txt": ["aa"],
+        "probs.txt": ["aa\t0.3", "aa\t0.9", "bb\t0.6", "cc\t0.55", "dd\t0.1", "ee\t0.7"],
+        "probs2.txt": ["aa\t0.8", "bb\t0.2", "bb\t0.6", "cc\t0.95", "dd\t0.4", "aa\t1"],
+        "train.txt": ["__label__aa alpha beta gamma delta epsilon",
+                      "__label__bb one two three four five"],
+        "test.txt": ["__label__aa alpha beta gamma delta", "__label__bb six seven eight nine",
+                     "__label__bb one two three four"],
+    }
+    for name, lines in files.items():
+        (root / name).write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+    return {name: str(root / name) for name in files} | workdir
+
+
+# (command, [(config key, flag arguments, config value, another value)]); in
+# each case every option changes the output, and a flag beats the other value
+CONFIG_CASES = [
+    ("predict", [("model", ["-model", "strong"], "strong", "weak"),
+                 ("input", ["-input", "in.txt"], "in.txt", "in2.txt"),
+                 ("theta", ["-theta", "0.9"], "0.9", "0.2"),
+                 ("k", ["-k", "2"], "2", "3"),
+                 ("hierarchy", ["-hierarchy", "hier.tsv"], "hier.tsv", "hier2.tsv"),
+                 ("stats", ["-stats"], "true", "false")]),
+    ("predict", [("model", ["-model", "strong"], "strong", "weak"),
+                 ("input", ["-input", "in.txt"], "in.txt", "in2.txt"),
+                 ("base_set", ["-base-set", "base.txt"], "base.txt", "base2.txt")]),
+    ("clean", [("model", ["-model", "strong"], "strong", "weak"),
+               ("input", ["-input", "in.txt"], "in.txt", "in2.txt"),
+               ("out_dir", ["-out-dir", "routed"], "routed", "other"),
+               ("theta", ["-theta", "0.9"], "0.9", "0.2"),
+               ("stats", ["-stats"], "yes", "no")]),
+    ("eval", [("gold", ["-gold", "gold.txt"], "gold.txt", "pred.txt"),
+              ("pred", ["-pred", "pred.txt"], "pred.txt", "gold.txt"),
+              ("map", ["-map", "map.tsv"], "map.tsv", "map2.tsv"),
+              ("scenario", ["-scenario", "set-unknown"], "set-unknown", "set-known"),
+              ("skew", ["-skew", "skew.tsv"], "skew.tsv", "skew2.tsv")]),
+    ("eval", [("gold", ["-gold", "gold.txt"], "gold.txt", "pred.txt"),
+              ("pred", ["-pred", "pred.txt"], "pred.txt", "gold.txt"),
+              ("model_labels", ["-model-labels", "labels.txt"], "labels.txt", "labels2.txt")]),
+    ("eval", [("gold", ["-gold", "gold.txt"], "gold.txt", "pred.txt"),
+              ("pred", ["-pred", "pred.txt"], "pred.txt", "gold.txt"),
+              ("map", ["-map", "map.tsv"], "map.tsv", "map2.tsv"),
+              ("strict_labels", ["-strict-labels"], "on", "off")]),
+    ("contam", [("test", ["-test", "test.txt"], "test.txt", "train.txt"),
+                ("train", ["-train", "train.txt"], "train.txt", "test.txt")]),
+    ("calib", [("gold", ["-gold", "gold.txt"], "gold.txt", "pred.txt"),
+               ("pred", ["-pred", "probs.txt"], "probs.txt", "probs2.txt"),
+               ("bins", ["-bins", "2"], "2", "3")]),
+]
+
+
+class TestConfigEveryCommand:
+    """A config file drives predict, clean, eval, contam and calib as flags do."""
+
+    @pytest.fixture(autouse=True)
+    def setup(self, config_inputs, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        self.inputs, self.tmp_path, self.capsys, self.monkeypatch = (
+            config_inputs, tmp_path, capsys, monkeypatch)
+        self.runs = 0
+
+    def path(self, value):
+        return self.inputs.get(value, value)
+
+    def outcome(self, command, flags, config=None):
+        """Exit code, stdout, the -stats lines without timings (else all of
+        stderr) and the files written, run in a fresh directory so that
+        relative -out-dir values do not meet."""
+        self.runs += 1
+        cwd = self.tmp_path / f"run{self.runs}"
+        cwd.mkdir()
+        self.monkeypatch.chdir(cwd)
+        argv = [command, *(self.path(a) for a in flags)]
+        if config is not None:
+            (cwd / "lidkit.cfg").write_text(
+                "".join(f"{k}={self.path(v)}\n" for k, v in config.items()), encoding="utf-8")
+            argv += ["-config", "lidkit.cfg"]
+        rc, out, err = run(self.capsys, argv)
+        stats = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        for line in stats:
+            del line["elapsed_s"], line["lines_per_s"]
+        files = {str(p.relative_to(cwd)): p.read_text(encoding="utf-8")
+                 for p in sorted(cwd.rglob("*")) if p.is_file() and p.name != "lidkit.cfg"}
+        return rc, out, stats or err, files
+
+    @pytest.mark.parametrize("command, options", CONFIG_CASES)
+    def test_each_option_from_the_file_equals_its_flag(self, command, options):
+        flags = [a for _, args, _, _ in options for a in args]
+        want = self.outcome(command, flags)
+        assert want[0] in (0, 2), want  # 2: the -strict-labels case's unmapped label
+        for key, args, value, _ in options:
+            rest = [a for k, a2, _, _ in options if k != key for a in a2]
+            assert self.outcome(command, rest, {key: value}) == want, key
+            assert self.outcome(command, rest) != want, f"{key} changes nothing"
+        everything = {key: value for key, _, value, _ in options}
+        assert self.outcome(command, [], everything) == want
+
+    @pytest.mark.parametrize("command, options", CONFIG_CASES)
+    def test_a_flag_overrides_the_file(self, command, options):
+        flags = [a for _, args, _, _ in options for a in args]
+        want = self.outcome(command, flags)
+        for key, _, _, other in options:
+            assert self.outcome(command, flags, {key: other}) == want, key
+        others = {key: other for key, _, _, other in options}
+        assert self.outcome(command, flags, others) == want
+
+    @pytest.mark.parametrize("command, options", CONFIG_CASES)
+    def test_reserved_and_unknown_keys_are_ignored(self, command, options):
+        config = {key: value for key, _, value, _ in options}
+        want = self.outcome(command, [], config)
+        config.update(func="nope", command="train", config="missing.cfg", frobnicate="1")
+        assert self.outcome(command, [], config) == want
+
+    @pytest.mark.parametrize("spelling, on", [
+        ("1", True), ("true", True), ("Yes", True), ("ON", True),
+        ("0", False), ("false", False), ("No", False), ("OFF", False),
+    ])
+    def test_switches_read_bool_spellings(self, spelling, on):
+        inputs = {"model": "strong", "input": "in.txt"}
+        _, _, stats, _ = self.outcome("predict", [], inputs | {"stats": spelling})
+        assert isinstance(stats, list) is on
+        rc, *_ = self.outcome("eval", [], {"gold": "gold.txt", "pred": "pred.txt",
+                                           "map": "map.tsv", "strict_labels": spelling})
+        assert rc == (2 if on else 0)
+
+    # a value that cannot be cast names the config file; one out of range
+    # gets the same message as from a flag
+    @pytest.mark.parametrize("command, config, needle, names_file", [
+        ("predict", {"model": "strong", "stats": "maybe"}, "stats", True),
+        ("eval", {"gold": "gold.txt", "pred": "pred.txt", "strict_labels": "2"},
+         "strict_labels", True),
+        ("predict", {"model": "strong", "k": "abc"}, "-k", True),
+        ("predict", {"model": "strong", "k": "0"}, "k must be >= 1", False),
+        ("clean", {"model": "strong", "out_dir": "o", "theta": "high"}, "-theta", True),
+        ("clean", {"model": "strong", "out_dir": "o", "theta": "1.5"}, "theta must be in [0, 1]",
+         False),
+        ("eval", {"gold": "gold.txt", "pred": "pred.txt", "scenario": "all"}, "scenario must be",
+         False),
+        ("calib", {"gold": "gold.txt", "pred": "probs.txt", "bins": "2.5"}, "-bins", True),
+        ("calib", {"gold": "gold.txt", "pred": "probs.txt", "bins": "0"}, "bins must be >= 1",
+         False),
+    ])
+    def test_bad_value_is_a_usage_error_naming_it(self, command, config, needle, names_file):
+        rc, out, err, files = self.outcome(command, [], config)
+        assert (rc, out, files) == (1, "", {})
+        assert err.startswith("usage error: ") and needle in err
+        assert ("lidkit.cfg" in err) is names_file
+
+    def test_a_config_leaves_no_defaults_for_the_next_call(self):
+        flags = ["-model", "strong", "-input", "in.txt"]
+        want = self.outcome("predict", flags)
+        configured = self.outcome("predict", flags, {"k": "2", "theta": "0.9", "stats": "on"})
+        assert configured != want
+        assert self.outcome("predict", flags) == want
 
 
 class TestTopLevel:

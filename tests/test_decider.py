@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lidkit.decision import Decider, DecisionConfig, LanguageHierarchy, decide, rollup
@@ -154,6 +154,10 @@ def test_adapters_match_oracle_bit_for_bit(case, rnd):
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=30), st.integers(1, 35))
+@example([2], 3)  # k > n, the last three with ties
+@example([1, 1], 5)
+@example([0, 3, 3], 4)
+@example([1, 3, 3, 0, 3, 1, 1], 9)
 def test_top_k_is_a_stable_full_sort(weights, k):
     p = np.array(weights, dtype=np.float64)
     want = sorted(range(len(p)), key=lambda i: (-p[i], i))[:k]
@@ -199,6 +203,10 @@ def test_batches_decide_and_rank_rows_as_single_rows(case):
 
 @given(st.lists(st.lists(st.integers(0, 3), min_size=12, max_size=12), min_size=1, max_size=8),
        st.integers(1, 30), st.integers(1, 14))
+@example([[2] * 12, [0] * 12], 1, 3)  # k > n, with ties across and within rows
+@example([[1, 1] + [0] * 10, [0, 1] + [0] * 10], 2, 5)
+@example([[0, 3, 3] + [0] * 9, [3, 3, 3] + [0] * 9], 3, 4)
+@example([[1, 3, 3, 0, 3, 1, 1] + [2] * 5, [0, 0, 0, 1, 0, 0, 0] + [2] * 5], 7, 14)
 def test_top_k_of_a_block_is_each_row_stable_full_sort(weights, n, k):
     p = np.array(weights, dtype=np.float64)[:, : min(n, 12)]
     want = [sorted(range(p.shape[1]), key=lambda i: (-row[i], i))[:k] for row in p]

@@ -6,7 +6,6 @@ from lidkit.decision import (
     DecisionConfig,
     LabelMap,
     LanguageHierarchy,
-    Scenario,
     decide,
     load_hierarchy,
     load_label_map,
@@ -110,13 +109,11 @@ class TestDecisionConfig:
 
     def test_for_model_without_base_set(self):
         cfg = DecisionConfig.for_model(["b", "a"], 0.3)
-        assert cfg.scenario is Scenario.SET_UNKNOWN
         assert cfg.base_set == frozenset({"a", "b"})
         assert cfg.theta == 0.3
 
     def test_for_model_with_base_set_intersects(self):
         cfg = DecisionConfig.for_model(["a", "b", "c"], 0.1, base_set={"b", "x"})
-        assert cfg.scenario is Scenario.SET_KNOWN
         assert cfg.base_set == frozenset({"b"})
 
     def test_for_model_disjoint_base_set(self):

@@ -470,6 +470,59 @@ class TestSerialization:
         assert not writer.is_alive()
         assert predict(loaded, corpus[0].text, k=3) == predict(model, corpus[0].text, k=3)
 
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        import types
+        import zlib
+
+        model, _ = self.build()
+        (tmp_path / "ref").mkdir()
+        save_model(model, str(tmp_path / "ref" / "m.bin"))
+        ref = (tmp_path / "ref" / "m.bin").read_bytes()
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"an older model")
+        path.chmod(0o640)
+        written, temporaries = [0], []
+
+        def crc32(data, value=0):  # fails halfway through the matrices
+            written[0] += len(data)
+            if written[0] > len(ref) // 2:
+                temporaries.extend(p.name for p in tmp_path.iterdir() if p.name != "ref")
+                raise OSError("no space left on device")
+            return zlib.crc32(data, value)
+
+        monkeypatch.setattr(lidkit.model, "_IO_CHUNK", 64)
+        monkeypatch.setattr(lidkit.model, "zlib", types.SimpleNamespace(crc32=crc32))
+        with pytest.raises(OSError, match="no space"):
+            save_model(model, str(path))
+        assert len(temporaries) == 2  # the old file and the partly written one
+        assert sorted(os.listdir(tmp_path)) == ["m.bin", "ref"]
+        assert path.read_bytes() == b"an older model"
+        monkeypatch.undo()
+        save_model(model, str(path))
+        assert path.read_bytes() == ref
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["m.bin", "ref"]
+
+    def test_saves_into_a_pipe(self, tmp_path):
+        import threading
+
+        model, corpus = self.build()
+        path = tmp_path / "m.bin"
+        save_model(model, str(path))
+        fifo = tmp_path / "m.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        save_model(model, str(fifo))
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [path.read_bytes()]
+        assert fifo.is_fifo() and sorted(os.listdir(tmp_path)) == ["m.bin", "m.fifo"]
+        (tmp_path / "piped.bin").write_bytes(got[0])
+        loaded = load_model(str(tmp_path / "piped.bin"))
+        assert predict(loaded, corpus[0].text, k=3) == predict(model, corpus[0].text, k=3)
+
     def test_tiny_file(self, tmp_path):
         path = tmp_path / "tiny.bin"
         path.write_bytes(b"GL")
