@@ -8,7 +8,9 @@ two of the CLI's input chunks.  A third, planted model has 257 labels and
 dim 40, so its output layer spans more than one row block of the scorer
 (257 is one more than a multiple of 128); it runs `predict -k 3` with a
 hierarchy, a base set and a threshold, and `clean`, over about 1,300
-lines.  Every printed
+lines.  A fourth model, trained with word bigrams for two epochs over
+about 6,600 lines of unbalanced labels, pins only its digest: its run
+draws its training steps in several chunks.  Every printed
 probability is a float repr, so the goldens pin the decision path bit for
 bit: label order, tie breaks, the rollup summation order and the
 probability printed on an `und` row.
@@ -79,6 +81,11 @@ PLANTED_CASES = {
                                            "-base-set", "{base_set}", "-theta", "0.3"]),
     "planted_clean.txt": ("clean", ["-theta", "0.3"]),
 }
+# the chunked set: training lines per label, unbalanced so that the
+# language draws are far from uniform; two epochs of them are more than
+# three 4,096-step draw chunks, and an epoch ends inside a chunk
+CHUNKED_COUNTS = {"aaa": 2600, "bbb": 1700, "ccc": 1000, "ddd": 650, "eee": 450, "fff": 200}
+
 PLANTED_LABELS = [f"p{i:03d}" for i in range(257)]
 PLANTED_DIM = 40
 PLANTED_LINES = 1300
@@ -169,6 +176,24 @@ def write_bigram_inputs(root: str) -> dict[str, str]:
     rc = run(["train", "-input", paths["corpus"], "-output", paths["model"],
               "-minCount", "2", "-wordNgrams", "2", "-bucket", "3000", "-dim", "8",
               "-epoch", "4", "-lr", "0.5", "-seed", "9"])[0]
+    assert rc == 0
+    return paths
+
+
+def write_chunked_inputs(root: str) -> dict[str, str]:
+    """Write the chunked corpus under root and train its model: word bigrams,
+    dim 8, two epochs of about 6,600 steps each."""
+    rng = random.Random(20231028)
+    lex = _lexicons(rng)
+    rows = [f"__label__{label} {' '.join(rng.choices(lex[label], k=rng.randint(1, 6)))}\n"
+            for label, n in CHUNKED_COUNTS.items() for _ in range(n)]
+    rng.shuffle(rows)
+    paths = {"corpus": os.path.join(root, "corpus.txt"), "model": os.path.join(root, "model.bin")}
+    with open(paths["corpus"], "w", encoding="utf-8") as fh:
+        fh.write("".join(rows))
+    rc = run(["train", "-input", paths["corpus"], "-output", paths["model"],
+              "-minCount", "2", "-wordNgrams", "2", "-bucket", "4000", "-dim", "8",
+              "-epoch", "2", "-lr", "0.5", "-seed", "13"])[0]
     assert rc == 0
     return paths
 
@@ -357,6 +382,12 @@ def test_bigram_output_matches_golden(bigram_paths, name, tmp_path):
     assert got == golden(name)
 
 
+def test_chunked_model_matches_golden(tmp_path):
+    assert 2 * sum(CHUNKED_COUNTS.values()) > 3 * 4096
+    paths = write_chunked_inputs(str(tmp_path))
+    assert model_digest(paths) == golden("chunked_model.sha256")
+
+
 def test_bigram_input_covers_the_batch_cases(bigram_paths):
     lines = input_lines(bigram_paths)
     text = "".join(lines)
@@ -414,6 +445,8 @@ def _write_goldens() -> None:
         for name in BIGRAM_CASES:
             outputs[name] = routed_output(paths, *BIGRAM_CASES[name],
                                           os.path.join(root, "routed"))
+    with tempfile.TemporaryDirectory() as root:
+        outputs["chunked_model.sha256"] = model_digest(write_chunked_inputs(root))
     with tempfile.TemporaryDirectory() as root:
         paths = write_planted_inputs(root)
         outputs["planted_model.sha256"] = model_digest(paths)
