@@ -16,6 +16,7 @@ preceding bytes.
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import math
 import os
@@ -341,26 +342,55 @@ def example_loss_and_grads(
     """
     mults = mults.astype(input_embeddings.dtype, copy=False)
     weights = mults / mults.sum()
-    return _loss_and_grads(input_embeddings, output_weights, ids, weights, gold_row)
+    return _loss_and_grads(input_embeddings.take(ids, axis=0), output_weights, weights, gold_row)
 
 
 def _loss_and_grads(
-    emb: np.ndarray, out: np.ndarray, ids: np.ndarray, weights: np.ndarray, gold: int
+    rows: np.ndarray, out: np.ndarray, weights: np.ndarray, gold: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """:func:`example_loss_and_grads` for bag weights that already sum to
-    one: the training step.  The loss floors p at 1e-30, so only non-finite
-    weights make it non-finite."""
-    v = emb[ids].T @ weights
+    """:func:`example_loss_and_grads` on the bag's gathered embedding rows,
+    for bag weights that already sum to one: the training step.  The loss
+    floors p at 1e-30, so only non-finite weights make it non-finite."""
+    v = rows.T @ weights
     logits = out @ v
     e = np.exp(logits - logits.max())
     p = e / e.sum()
     loss = -math.log(max(float(p[gold]), 1e-30))
     p[gold] -= 1.0  # now the logit gradient
     dv = out.T @ p
-    return loss, np.outer(weights, dv), np.outer(p, v)
+    return loss, np.multiply.outer(weights, dv), np.multiply.outer(p, v)
 
 
 ProgressFn = Callable[[int, int, float], None]
+
+# training steps whose draws are made at once: the draws of a run take
+# memory in proportion to this, not to the run's length
+DRAW_CHUNK = 4096
+
+
+def _draw_examples(
+    rng: np.random.Generator, lang_p: np.ndarray, order: np.ndarray,
+    pool_sizes: np.ndarray, total_steps: int,
+) -> Iterator[int]:
+    """The example index of each training step, DRAW_CHUNK steps at a time.
+
+    ``order`` lists the examples by language row, stably, and ``pool_sizes``
+    holds the length of each language's run of it.  Each step draws a
+    language with probabilities ``lang_p``, then a uniform example of it.
+    The draws are those of one ``rng.choice(..., size=total_steps, p=lang_p)``
+    followed by one ``rng.integers(0, pool_size)`` per step, whatever the
+    chunk size: ``choice`` with ``p`` takes one 64-bit output per draw, so
+    the languages come from a copy of the generator that the original then
+    skips past with ``advance``; and a bounded ``integers`` draw over an
+    array of bounds takes, per element, what one call with that bound does.
+    """
+    lang_rng = np.random.Generator(copy.deepcopy(rng.bit_generator))
+    rng.bit_generator.advance(total_steps)
+    starts = np.cumsum(pool_sizes) - pool_sizes
+    for done in range(0, total_steps, DRAW_CHUNK):
+        size = min(DRAW_CHUNK, total_steps - done)
+        langs = lang_rng.choice(len(pool_sizes), size=size, p=lang_p)
+        yield from order[starts[langs] + rng.integers(0, pool_sizes[langs])].tolist()
 
 
 def train(
@@ -419,31 +449,36 @@ def train(
     stats = CorpusStats({vocab.labels[r]: int(counts[r]) for r in drawn}, len(examples))
     lang_weights = temperature_weights(stats, train_config.inv_temperature)
     lang_p = _language_distribution(lang_weights)[1]
-    # one pool of example indices per drawn label, each in corpus order
-    pools = np.split(np.argsort(golds, kind="stable"), np.cumsum(counts[drawn])[:-1])
 
     steps_per_epoch = len(examples)
     total_steps = train_config.epochs * steps_per_epoch
-    lang_seq = rng.choice(len(pools), size=total_steps, p=lang_p)
+    # the examples of each drawn label form one pool, in corpus order
+    draws = _draw_examples(rng, lang_p, np.argsort(golds, kind="stable"), counts[drawn],
+                           total_steps)
     lr0 = train_config.lr
 
-    step = 0
     # a diverging run overflows before its loss turns non-finite; the check
     # below reports it, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(train_config.epochs):
             loss_sum = 0.0
-            for _ in range(steps_per_epoch):
+            first = epoch * steps_per_epoch
+            for step, example in zip(range(first, first + steps_per_epoch), draws):
                 lr = lr0 * (1.0 - step / total_steps)
-                pool = pools[lang_seq[step]]
-                ids, w, gold = examples[pool[rng.integers(0, len(pool))]]
-                loss, g_emb, g_out = _loss_and_grads(emb, out, ids, w, gold)
+                ids, w, gold = examples[example]
+                rows = emb.take(ids, axis=0)
+                loss, g_rows, g_out = _loss_and_grads(rows, out, w, gold)
                 if not math.isfinite(loss):
                     raise ValueError(f"training diverged at step {step}: loss {loss}")
                 loss_sum += loss
-                out -= lr * g_out
-                emb[ids] -= lr * g_emb  # ids are unique within a bag
-                step += 1
+                # scaled in place, with the rounding of lr * g
+                g_out *= lr
+                out -= g_out
+                g_rows *= lr
+                rows -= g_rows
+                # ids are unique within a bag, and emb has not changed since
+                # the gather, so this is emb[ids] -= g_rows
+                emb[ids] = rows
             if progress is not None:
                 progress(epoch + 1, train_config.epochs, loss_sum / steps_per_epoch)
 

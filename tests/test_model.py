@@ -16,6 +16,7 @@ from lidkit.model import (
     Scorer,
     TrainConfig,
     _bag_arrays,
+    _draw_examples,
     example_loss_and_grads,
     load_model,
     predict,
@@ -235,33 +236,77 @@ class TestGradients:
                 assert g_out[r, d] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     def test_training_steps_equal_the_checked_function_bit_for_bit(self, monkeypatch):
-        # every SGD step goes through _loss_and_grads with the stored f32
-        # (ids, weights); the public function on the bag's raw multiplicities
-        # must return the same bits, so the gradient checks cover training
+        # every SGD step goes through _loss_and_grads with the bag's gathered
+        # f32 rows and stored weights; the public function on those rows and
+        # the bag's raw multiplicities must return the same bits, so the
+        # gradient checks cover training
         corpus = synthetic_corpus(n_langs=3, lines_per_lang=20, seed=5)
         fc = FeatureConfig(min_count=1, bucket=300)
         vocab = build_vocab(corpus, fc)
+        # keyed by the weights train stores; bags with the same weights here
+        # have proportional multiplicities, which the public function maps
+        # to the same weights
         mults_of = {}
         for line in corpus:
-            ids, mults = _bag_arrays(featurize(line.text, vocab, fc))
-            mults_of[ids.tobytes()] = mults
+            mults = _bag_arrays(featurize(line.text, vocab, fc))[1]
+            mults_of[(mults / mults.sum()).astype(np.float32).tobytes()] = mults
         step = lidkit.model._loss_and_grads
         calls = []
 
-        def recorded_step(emb, out, ids, weights, gold):
-            got = step(emb, out, ids, weights, gold)
-            calls.append((emb.copy(), out.copy(), ids, weights, gold, got))
+        def recorded_step(rows, out, weights, gold):
+            # train updates rows and scales the gradients in place, so
+            # copies are kept
+            args = (rows.copy(), out.copy(), weights, gold)
+            got = step(rows, out, weights, gold)
+            calls.append((*args, (got[0], got[1].copy(), got[2].copy())))
             return got
 
         monkeypatch.setattr(lidkit.model, "_loss_and_grads", recorded_step)
         train(corpus, fc, TrainConfig(dim=4, epochs=2, seed=1))
         monkeypatch.undo()
         assert len(calls) == 2 * len(corpus)
-        for emb, out, ids, weights, gold, got in calls:
-            want = example_loss_and_grads(emb, out, ids, mults_of[ids.tobytes()], gold)
-            assert weights.dtype == emb.dtype == np.float32
+        for rows, out, weights, gold, got in calls:
+            want = example_loss_and_grads(rows, out, np.arange(len(rows)),
+                                          mults_of[weights.tobytes()], gold)
+            assert weights.dtype == rows.dtype == np.float32
             assert got[0] == want[0]
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got[1:], want[1:]))
+
+
+class TestStepDraws:
+    """The training steps' draws, made in chunks, are the whole-run draws.
+
+    They rest on two properties of numpy's Generator over PCG64: ``choice``
+    with ``p`` takes exactly one 64-bit output per draw (a ``random`` double),
+    so a copy of the generator can draw the languages chunk by chunk while
+    the original ``advance``s past them; and ``integers(0, highs)`` over an
+    array of bounds takes, element by element, what one scalar
+    ``integers(0, high)`` call takes, including nothing for a bound of 1.
+    """
+
+    @staticmethod
+    def whole_draws(seed, p, sizes, total):
+        # one language draw for the whole run, then one scalar draw per step
+        rng = np.random.default_rng(seed)
+        langs = rng.choice(len(sizes), size=total, p=p)
+        starts = np.cumsum(sizes) - sizes
+        picks = [int(starts[l] + rng.integers(0, sizes[l])) for l in langs]
+        return picks, rng.bit_generator.state
+
+    @pytest.mark.parametrize("sizes", [[1], [5], [3, 1, 40], [1000, 2, 7, 1, 300]])
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_chunked_draws_equal_whole_draws(self, monkeypatch, sizes, seed, chunk):
+        sizes = np.array(sizes, dtype=np.int64)
+        p = np.random.default_rng(len(sizes)).dirichlet(np.ones(len(sizes)))
+        total = 9001
+        want, want_state = self.whole_draws(seed, p, sizes, total)
+        monkeypatch.setattr(lidkit.model, "DRAW_CHUNK", chunk)
+        rng = np.random.default_rng(seed)
+        # the identity order, so each draw is its position in the pools
+        got = list(_draw_examples(rng, p, np.arange(sizes.sum()), sizes, total))
+        assert got == want
+        assert rng.bit_generator.state == want_state
 
 
 class TestTrain:
@@ -295,6 +340,20 @@ class TestTrain:
         save_model(train(corpus, fc, tc), a)
         save_model(train(corpus, fc, tc), b)
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_draw_chunk_size_leaves_the_model_bytes_alone(self, tmp_path, monkeypatch):
+        # three unbalanced languages: 50, 30 and 10 lines
+        corpus = synthetic_corpus(n_langs=3, lines_per_lang=50, seed=7)
+        corpus = corpus[:80] + corpus[100:110]
+        fc = FeatureConfig(min_count=1, bucket=800)
+        tc = TrainConfig(dim=6, epochs=3, seed=4)
+        files = []
+        for chunk in (1, 7, lidkit.model.DRAW_CHUNK):
+            monkeypatch.setattr(lidkit.model, "DRAW_CHUNK", chunk)
+            files.append(str(tmp_path / f"{chunk}.bin"))
+            save_model(train(corpus, fc, tc), files[-1])
+        data = [open(f, "rb").read() for f in files]
+        assert data[0] == data[1] == data[2]
 
     def test_progress_callback_runs_per_epoch(self):
         seen = []
