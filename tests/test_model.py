@@ -347,12 +347,12 @@ class TestTrain:
         corpus = corpus[:80] + corpus[100:110]
         fc = FeatureConfig(min_count=1, bucket=800)
         tc = TrainConfig(dim=6, epochs=3, seed=4)
-        files = []
+        data = []
         for chunk in (1, 7, lidkit.model.DRAW_CHUNK):
             monkeypatch.setattr(lidkit.model, "DRAW_CHUNK", chunk)
-            files.append(str(tmp_path / f"{chunk}.bin"))
-            save_model(train(corpus, fc, tc), files[-1])
-        data = [open(f, "rb").read() for f in files]
+            path = tmp_path / f"{chunk}.bin"
+            save_model(train(corpus, fc, tc), str(path))
+            data.append(path.read_bytes())
         assert data[0] == data[1] == data[2]
 
     def test_progress_callback_runs_per_epoch(self):
