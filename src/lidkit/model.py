@@ -16,7 +16,6 @@ preceding bytes.
 from __future__ import annotations
 
 import contextlib
-import copy
 import io
 import math
 import os
@@ -363,8 +362,7 @@ def _loss_and_grads(
 
 ProgressFn = Callable[[int, int, float], None]
 
-# training steps whose draws are made at once: the draws of a run take
-# memory in proportion to this, not to the run's length
+# training steps whose in-pool draws are made in one call
 DRAW_CHUNK = 4096
 
 
@@ -372,24 +370,21 @@ def _draw_examples(
     rng: np.random.Generator, lang_p: np.ndarray, order: np.ndarray,
     pool_sizes: np.ndarray, total_steps: int,
 ) -> Iterator[int]:
-    """The example index of each training step, DRAW_CHUNK steps at a time.
+    """The example index of each training step.
 
     ``order`` lists the examples by language row, stably, and ``pool_sizes``
     holds the length of each language's run of it.  Each step draws a
     language with probabilities ``lang_p``, then a uniform example of it.
-    The draws are those of one ``rng.choice(..., size=total_steps, p=lang_p)``
-    followed by one ``rng.integers(0, pool_size)`` per step, whatever the
-    chunk size: ``choice`` with ``p`` takes one 64-bit output per draw, so
-    the languages come from a copy of the generator that the original then
-    skips past with ``advance``; and a bounded ``integers`` draw over an
-    array of bounds takes, per element, what one call with that bound does.
+    The languages of the whole run are drawn at once; the in-pool draws are
+    made DRAW_CHUNK steps at a time, and are those of one
+    ``rng.integers(0, pool_size)`` call per step whatever the chunk size: a
+    bounded ``integers`` draw over an array of bounds takes, per element,
+    what one call with that bound does.
     """
-    lang_rng = np.random.Generator(copy.deepcopy(rng.bit_generator))
-    rng.bit_generator.advance(total_steps)
+    lang_seq = rng.choice(len(pool_sizes), size=total_steps, p=lang_p)
     starts = np.cumsum(pool_sizes) - pool_sizes
-    for done in range(0, total_steps, DRAW_CHUNK):
-        size = min(DRAW_CHUNK, total_steps - done)
-        langs = lang_rng.choice(len(pool_sizes), size=size, p=lang_p)
+    for lo in range(0, total_steps, DRAW_CHUNK):
+        langs = lang_seq[lo : lo + DRAW_CHUNK]
         yield from order[starts[langs] + rng.integers(0, pool_sizes[langs])].tolist()
 
 

@@ -83,7 +83,7 @@ PLANTED_CASES = {
 }
 # the chunked set: training lines per label, unbalanced so that the
 # language draws are far from uniform; two epochs of them are more than
-# three 4,096-step draw chunks, and an epoch ends inside a chunk
+# three draw chunks (model.DRAW_CHUNK steps), and an epoch ends inside one
 CHUNKED_COUNTS = {"aaa": 2600, "bbb": 1700, "ccc": 1000, "ddd": 650, "eee": 450, "fff": 200}
 
 PLANTED_LABELS = [f"p{i:03d}" for i in range(257)]
@@ -383,7 +383,7 @@ def test_bigram_output_matches_golden(bigram_paths, name, tmp_path):
 
 
 def test_chunked_model_matches_golden(tmp_path):
-    assert 2 * sum(CHUNKED_COUNTS.values()) > 3 * 4096
+    assert 2 * sum(CHUNKED_COUNTS.values()) > 3 * lidkit.model.DRAW_CHUNK
     paths = write_chunked_inputs(str(tmp_path))
     assert model_digest(paths) == golden("chunked_model.sha256")
 

@@ -276,12 +276,10 @@ class TestGradients:
 class TestStepDraws:
     """The training steps' draws, made in chunks, are the whole-run draws.
 
-    They rest on two properties of numpy's Generator over PCG64: ``choice``
-    with ``p`` takes exactly one 64-bit output per draw (a ``random`` double),
-    so a copy of the generator can draw the languages chunk by chunk while
-    the original ``advance``s past them; and ``integers(0, highs)`` over an
-    array of bounds takes, element by element, what one scalar
-    ``integers(0, high)`` call takes, including nothing for a bound of 1.
+    They rest on a property of numpy's Generator over PCG64:
+    ``integers(0, highs)`` over an array of bounds takes, element by element,
+    what one scalar ``integers(0, high)`` call takes, including nothing for a
+    bound of 1.
     """
 
     @staticmethod
