@@ -123,15 +123,36 @@ class LidModel:
         # decisions break ties by column order, so it must be label order
         if list(self.vocab.labels) != sorted(set(self.vocab.labels)):
             raise ValueError("labels must be sorted and distinct")
-        if not (
-            np.isfinite(self.input_embeddings).all()
-            and np.isfinite(self.output_weights).all()
-        ):
-            raise ValueError("non-finite weights")
+        _check_finite("input_embeddings", self.input_embeddings)
+        _check_finite("output_weights", self.output_weights)
 
     @property
     def labels(self) -> tuple[str, ...]:
         return self.vocab.labels
+
+
+# matrix elements checked per reduction: 1 MiB of float32, which stays in
+# cache between the min and the max of a slice
+_CHECK_SLICE = 1 << 18
+
+
+def _check_finite(name: str, matrix: np.ndarray) -> None:
+    """ValueError naming ``name`` and the first row of the 2-D ``matrix``
+    that holds a NaN or an infinity: what ``np.isfinite(matrix).all()``
+    rejects, and nothing else.
+
+    The rows are checked about _CHECK_SLICE elements at a time.  A slice's
+    min and max are NaN if any entry is; otherwise its min is -inf if any
+    entry is, and its max +inf.  So both are finite exactly when every
+    entry is, and neither reduction allocates: no temporary grows with the
+    table.
+    """
+    step = max(1, _CHECK_SLICE // matrix.shape[1])
+    for start in range(0, len(matrix), step):
+        part = matrix[start : start + step]
+        if not (np.isfinite(part.min()) and np.isfinite(part.max())):
+            row = start + int(np.argmin(np.isfinite(part).all(axis=1)))
+            raise ValueError(f"non-finite weight in {name} row {row}")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 
 from lidkit.cli import _TRAIN_FLAGS, main
 from lidkit.features import FeatureConfig
-from lidkit.model import TrainConfig, load_model
+from lidkit.model import TrainConfig, load_model, save_model
 
 pytestmark = pytest.mark.usefixtures("capsys")
 
@@ -331,6 +331,15 @@ class TestPredict:
         rc, _, err = run(capsys, ["predict", "-model", str(bad)])
         assert rc == 2
         assert "error" in err
+
+    def test_non_finite_weight_is_data_error(self, workdir, tmp_path, capsys):
+        model = load_model(workdir["strong"])
+        model.input_embeddings[5, 1] = float("nan")  # save_model does not check
+        bad = str(tmp_path / "nan.bin")
+        save_model(model, bad)
+        rc, out, err = run(capsys, ["predict", "-model", bad])
+        assert rc == 2 and out == ""
+        assert "non-finite weight in input_embeddings row 5" in err
 
     def test_missing_model_is_io_error(self, tmp_path, capsys):
         rc, _, _ = run(capsys, ["predict", "-model", str(tmp_path / "no.bin")])

@@ -1,10 +1,13 @@
 import os
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import lidkit.model
 from lidkit.corpus import CorpusStats, LabeledLine
@@ -16,6 +19,7 @@ from lidkit.model import (
     Scorer,
     TrainConfig,
     _bag_arrays,
+    _check_finite,
     _draw_examples,
     example_loss_and_grads,
     load_model,
@@ -395,6 +399,108 @@ class TestTrain:
                 FeatureConfig(min_count=1, min_count_label=5),
                 TrainConfig(dim=2),
             )
+
+
+def model_over(emb, out):
+    """A model with no words whose bucket rows are ``emb``."""
+    labels = tuple(f"l{i:03d}" for i in range(len(out)))
+    config = FeatureConfig(min_count=1, bucket=len(emb))
+    return LidModel(Vocabulary((), {}, labels), config, TrainConfig(dim=emb.shape[1]), emb, out)
+
+
+class TestFiniteWeights:
+    # slices hold whole rows; 3 does not divide _CHECK_SLICE, so a slice ends
+    # before _CHECK_SLICE elements
+    DIM = 3
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "before_boundary", "after_boundary", "last",
+                                       "output"])
+    def test_a_non_finite_weight_is_rejected_naming_its_row(self, dtype, value, where):
+        step = lidkit.model._CHECK_SLICE // self.DIM  # rows per slice
+        emb = np.zeros((2 * step + 5, self.DIM), dtype)
+        out = np.zeros((4, self.DIM), dtype)
+        if where == "output":
+            out.reshape(-1)[7] = value
+            name, row = "output_weights", 2
+        else:
+            flat = {"first": 0, "before_boundary": step * self.DIM - 1,
+                    "after_boundary": step * self.DIM, "last": emb.size - 1}[where]
+            emb.reshape(-1)[flat] = value
+            name, row = "input_embeddings", flat // self.DIM
+        with pytest.raises(ValueError, match=rf"^non-finite weight in {name} row {row}$"):
+            model_over(emb, out)
+
+    def test_the_first_bad_row_is_named(self):
+        step = lidkit.model._CHECK_SLICE // self.DIM
+        emb = np.ones((3 * step, self.DIM), np.float32)
+        out = np.ones((2, self.DIM), np.float32)
+        emb[2 * step + 1, 0] = np.inf
+        emb[step + 4, 2] = np.nan
+        out[0, 0] = -np.inf
+        with pytest.raises(ValueError, match=rf"input_embeddings row {step + 4}$"):
+            model_over(emb, out)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_extreme_finite_weights_pass(self, dtype):
+        info, f32 = np.finfo(dtype), np.finfo(np.float32)
+        values = np.array([info.smallest_subnormal, -info.smallest_subnormal, -0.0, 0.0,
+                           info.tiny, f32.max, -f32.max, info.max, -info.max], dtype)
+        # a table of maxima, whose sum overflows, spanning several slices
+        emb = np.resize(values, (lidkit.model._CHECK_SLICE, self.DIM))
+        model_over(emb, np.resize(values, (len(values), self.DIM)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        slice_size=st.integers(1, 20),
+    )
+    def test_rejects_what_isfinite_rejects(self, data, dtype, slice_size):
+        width = 32 if dtype == np.float32 else 64
+        matrix = data.draw(hnp.arrays(
+            dtype, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+            elements=st.floats(width=width, allow_nan=True, allow_infinity=True)))
+        with mock.patch.object(lidkit.model, "_CHECK_SLICE", slice_size):
+            if np.isfinite(matrix).all():
+                _check_finite("m", matrix)
+            else:
+                row = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
+                with pytest.raises(ValueError, match=rf"^non-finite weight in m row {row}$"):
+                    _check_finite("m", matrix)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["input_embeddings", "output_weights"])
+    def test_load_rejects_a_non_finite_weight_under_a_valid_checksum(self, tmp_path, value, name):
+        model = toy_model()
+        getattr(model, name)[1, 2] = value  # save_model does not check
+        path = str(tmp_path / "m.bin")
+        save_model(model, path)
+        with pytest.raises(CorruptModel, match=rf"non-finite weight in {name} row 1$"):
+            load_model(path)
+
+    def test_no_temporary_grows_with_the_table(self, tmp_path):
+        emb = np.full((1 << 16, 256), 0.25, np.float32)  # 64 MiB
+        out = np.full((4, 256), -0.5, np.float32)
+        tracemalloc.start()
+        try:
+            model = model_over(emb, out)
+            built = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built < 1 << 20
+        path = str(tmp_path / "m.bin")
+        save_model(model, path)
+        del model, emb
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            read = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.input_embeddings.nbytes == 64 << 20
+        assert read < os.path.getsize(path) + (1 << 20)
 
 
 class TestTrainConfig:
