@@ -23,7 +23,15 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .errors import EmptyScope, FormatError, UnmappedLabel
-from .model import UNDETERMINED, LidModel, PredictionDist, Scorer, check_probs, top_k
+from .model import (
+    UNDETERMINED,
+    LidModel,
+    PredictionDist,
+    RowBuffer,
+    Scorer,
+    check_probs,
+    top_k,
+)
 
 T = TypeVar("T")
 
@@ -108,14 +116,17 @@ class _RollupPlan:
         # dict.fromkeys keeps input order, so sorted input sorts in one pass
         self.labels: tuple[str, ...] = tuple(sorted(dict.fromkeys(targets)))
         row = {label: i for i, label in enumerate(self.labels)}
-        # (output rows, input columns) for the own mass, then for each slot;
-        # a label is its own target exactly when it is not a variety
-        own: tuple[list[int], list[int]] = ([], [])
+        # each output label's own input column, and (output rows, input
+        # columns) for each slot; a label is its own target exactly when it
+        # is not a variety.  A macrolanguage that is no input label reads
+        # column 0 and is then zeroed
+        own = np.zeros(len(self.labels), dtype=np.intp)
+        has_own = np.zeros(len(self.labels), dtype=bool)
         varieties: dict[str, list[tuple[str, int]]] = {}
         for col, (label, target) in enumerate(zip(labels, targets)):
             if label == target:
-                own[0].append(row[label])
-                own[1].append(col)
+                own[row[label]] = col
+                has_own[row[label]] = True
             else:
                 varieties.setdefault(target, []).append((label, col))
         slots: list[tuple[list[int], list[int]]] = []
@@ -125,17 +136,23 @@ class _RollupPlan:
                     slots.append(([], []))
                 slots[slot][0].append(row[macro])
                 slots[slot][1].append(col)
-        self._own, *self._slots = [
-            (np.array(r, dtype=np.intp), np.array(c, dtype=np.intp)) for r, c in [own, *slots]
-        ]
+        self._own = own
+        self._no_own = np.flatnonzero(~has_own)
+        self._slots = [(np.array(r, dtype=np.intp), np.array(c, dtype=np.intp))
+                       for r, c in slots]
 
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        """``p`` rolled up along its last axis: one row or a block of rows."""
-        out = np.zeros(p.shape[:-1] + (len(self.labels),))
-        rows, cols = self._own
-        out[..., rows] = p[..., cols]
+    def apply(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``p`` rolled up along its last axis: one row or a block of rows.
+        Written into ``out``, a float64 array of the result's shape, when
+        one is given."""
+        if out is None:
+            out = np.empty(p.shape[:-1] + (len(self.labels),))
+        # mode="clip" takes straight into out; the default mode copies
+        # through a temporary, and the columns are in range anyway
+        np.take(p, self._own, axis=-1, out=out, mode="clip")
+        out[..., self._no_own] = 0.0
         for rows, cols in self._slots:
-            out[..., rows] += p[..., cols]  # rows are distinct within a slot
+            out[..., rows] += np.take(p, cols, axis=-1)  # rows are distinct within a slot
         return out
 
 
@@ -149,6 +166,11 @@ class Decider:
     sorted label order, and decides each line by their first maximum and
     theta.  It counts the lines it scored, those with no features and the
     Undetermined decisions (no-feature lines included).
+
+    Like its Scorer, it keeps the arrays of a block (the rolled-up
+    probabilities, which top-k's partition copy then reuses, and their
+    base-set columns) in buffers across blocks, and is not safe to share
+    across threads.
     """
 
     def __init__(
@@ -167,6 +189,8 @@ class Decider:
                 raise ValueError(f"base set label {label!r} not in distribution")
         self._base_cols = np.array([column[l] for l in self._base_labels], dtype=np.intp)
         self._theta = config.theta
+        self._rolled = RowBuffer(len(labels))
+        self._base = RowBuffer(len(self._base_cols))
         self.lines = 0
         self.no_feature = 0
         self.und = 0
@@ -184,11 +208,24 @@ class Decider:
             out += [next(rows) if h else no_features() for h in has.tolist()]
         return out
 
+    def _rolled_up(self, p: np.ndarray) -> np.ndarray:
+        """The block ``p`` rolled up and checked, in the Decider's buffer;
+        ``p`` itself when there is no hierarchy."""
+        if self._plan is None:
+            return p
+        p = self._plan.apply(p, out=self._rolled.rows(len(p)))
+        check_probs(p, self._plan.labels)
+        return p
+
     def _base_probs(self, p: np.ndarray) -> np.ndarray:
-        if self._plan is not None:
-            p = self._plan.apply(p)
-            check_probs(p, self._plan.labels)
-        return p[:, self._base_cols]
+        """The base-set columns of the rolled-up block ``p``, in the Decider's buffer."""
+        return np.take(p, self._base_cols, axis=1, out=self._base.rows(len(p)), mode="clip")
+
+    def _top_k(self, q: np.ndarray, k: int) -> np.ndarray:
+        """:func:`top_k` of the base-set block ``q``.  It partitions in the
+        rolled-up block's buffer, free once ``q`` is taken (and otherwise
+        unused without a hierarchy): one label-sized block less to hold."""
+        return top_k(q, k, self._rolled.rows(len(q))[:, : q.shape[1]])
 
     def _decisions(self, q: np.ndarray, cols: np.ndarray) -> list[str]:
         """Per row of ``q``, the label of its base-set column in ``cols``
@@ -200,12 +237,12 @@ class Decider:
         return [labels[c] if ok else UNDETERMINED for c, ok in zip(cols.tolist(), sure)]
 
     def _decide_rows(self, p: np.ndarray) -> list[str]:
-        q = self._base_probs(p)
+        q = self._base_probs(self._rolled_up(p))
         return self._decisions(q, np.argmax(q, axis=1))
 
     def _rank_rows(self, p: np.ndarray, k: int) -> list[list[tuple[str, float]]]:
-        q = self._base_probs(p)
-        order = top_k(q, k)
+        q = self._base_probs(self._rolled_up(p))
+        order = self._top_k(q, k)
         labels = self._base_labels
         ranked = np.take_along_axis(q, order, axis=1).tolist()
         rows = []

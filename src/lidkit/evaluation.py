@@ -179,11 +179,13 @@ def reliability(
         conf_sum[idx] += c
         correct[idx] += p == g
         count[idx] += 1
+    # the mean of a bin's confidences lies within its edges, but the rounded
+    # sum can carry it one ulp past them (three 0.4s average 0.4000000000000001)
     bins = tuple(
         BinStats(
             edges[i],
             edges[i + 1],
-            conf_sum[i] / count[i] if count[i] else 0.0,
+            min(max(conf_sum[i] / count[i], edges[i]), edges[i + 1]) if count[i] else 0.0,
             correct[i] / count[i] if count[i] else 0.0,
             count[i],
         )

@@ -32,6 +32,7 @@ from .errors import CorruptModel, NoFeatures, NoLabels, UnsupportedFormat
 from .features import (
     BATCH_LINES,
     FeatureBag,
+    FeatureBatch,
     FeatureConfig,
     Vocabulary,
     build_vocab,
@@ -174,27 +175,46 @@ def _bag_arrays(bag: FeatureBag) -> tuple[np.ndarray, np.ndarray]:
     return ids, mults
 
 
-def _mean_embedding(emb: np.ndarray, ids: np.ndarray, mults: np.ndarray) -> np.ndarray:
-    """Multiplicity-weighted mean of the rows ``ids`` of ``emb`` (float64),
-    summed in the order of ``ids``."""
-    rows = emb[ids].astype(np.float64)
-    rows *= mults[:, None]  # in place, sparing a second (len(ids), dim) array
-    return rows.sum(axis=0) / mults.sum()
+def _weighted_means(emb: np.ndarray, ids: np.ndarray, mults: np.ndarray,
+                    spans: Sequence[tuple[int, int]], totals: np.ndarray,
+                    scratch: np.ndarray, out: np.ndarray) -> None:
+    """Into row r of ``out``: the multiplicity-weighted mean, in float64, of
+    the rows ``ids[lo:hi]`` of ``emb`` for the r-th span (lo, hi).
+
+    Each span's rows are gathered, cast into ``scratch`` (a float64 array
+    with a row for each id of the widest span), scaled and summed one row
+    after another in the order of ``ids``.  ``out`` is then divided by
+    ``totals``, the spans' multiplicity sums: sums of integers, exact in
+    any order.  ``np.take`` cannot cast, so the float32 rows are a
+    temporary of their own.
+    """
+    for row, (lo, hi) in enumerate(spans):
+        rows = scratch[: hi - lo]
+        rows[...] = emb.take(ids[lo:hi], axis=0)
+        rows *= mults[lo:hi, None]
+        np.add.reduce(rows, axis=0, out=out[row])
+    out /= totals[:, None]
 
 
 def sentence_vector(bag: FeatureBag, model: LidModel) -> np.ndarray:
     """Multiplicity-weighted mean of the bag's input embeddings (float64)."""
     if not bag:
         raise NoFeatures("empty feature bag")
-    return _mean_embedding(model.input_embeddings, *_bag_arrays(bag))
+    ids, mults = _bag_arrays(bag)
+    v = np.empty((1, model.train_config.dim))
+    _weighted_means(model.input_embeddings, ids, mults, [(0, len(ids))],
+                    mults.sum(keepdims=True), np.empty((len(ids), v.shape[1])), v)
+    return v[0]
 
 
-def top_k(p: np.ndarray, k: int) -> np.ndarray:
+def top_k(p: np.ndarray, k: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """Column indices of the k largest entries of each row of a 2-D ``p``,
     largest first; of the entries of a 1-D ``p``, its one row.
 
     Equal entries keep their column order, as in a stable sort; over
-    columns in sorted label order, ties go to the smaller label.
+    columns in sorted label order, ties go to the smaller label.  The
+    partition runs on a copy of ``p``: in ``scratch``, a float64 array of
+    ``p``'s 2-D shape, when one is given.
     """
     rows = np.atleast_2d(p)
     n = rows.shape[1]
@@ -202,13 +222,33 @@ def top_k(p: np.ndarray, k: int) -> np.ndarray:
     # only entries at least as large as their row's k-th largest can rank;
     # ordered by (row, -value, column), each row's first k of those are the
     # first k of its stable full sort
-    kth = np.partition(rows, n - k, axis=1)[:, n - k]
+    part = np.empty_like(rows) if scratch is None else scratch
+    part[...] = rows
+    part.partition(n - k, axis=1)
+    kth = part[:, n - k]
     row, col = np.nonzero(rows >= kth[:, None])
     order = np.lexsort((col, -rows[row, col], row))
     row, col = row[order], col[order]
     first = np.searchsorted(row, np.arange(len(rows)))
     top = col[np.arange(len(row)) - first[row] < k].reshape(len(rows), k)
     return top if p.ndim == 2 else top[0]
+
+
+class RowBuffer:
+    """A float64 array of ``cols`` columns kept across calls.  It is made
+    on first use, and made anew only when a call needs more rows than it
+    has: it holds as many rows as the largest call so far."""
+
+    def __init__(self, cols: int):
+        self._cols = cols
+        self._array: np.ndarray | None = None
+
+    def rows(self, n: int) -> np.ndarray:
+        """The buffer's first ``n`` rows, a view whose contents are left
+        from earlier calls."""
+        if self._array is None or len(self._array) < n:
+            self._array = np.empty((n, self._cols))
+        return self._array[:n]
 
 
 # lines scored at once: their (lines, labels) arrays stay a few MiB
@@ -232,6 +272,11 @@ class Scorer:
     none has a single row, which numpy hands to ``dot`` instead (measured
     with OpenBLAS); a one-row tail joins the block before it.  A matrix
     product over the lines would move the logits' last bits.
+
+    A block's sentence vectors and logits are written into buffers the
+    Scorer keeps (:class:`RowBuffer`), as is the float64 copy of each
+    line's embedding rows, so that scoring allocates no label-sized array
+    per block.  A Scorer is therefore not safe to share across threads.
     """
 
     def __init__(self, model: LidModel):
@@ -242,46 +287,66 @@ class Scorer:
         if len(bounds) > 2 and n - bounds[-2] == 1:
             del bounds[-2]
         self._row_blocks = list(zip(bounds, bounds[1:]))
+        dim = model.train_config.dim
+        self._vectors = RowBuffer(dim)
+        self._gather = RowBuffer(dim)
+        self._z = RowBuffer(n)
 
     def iter_blocks(self, texts: Sequence[str]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Per block of up to LINE_BLOCK texts, in order: which of them have
         features (a boolean array), and the checked softmax probabilities
         of those, one row each, in the model's label order.
 
-        The texts are featurized as one batch.
+        The texts are featurized as one batch.  The probabilities are a
+        view of the Scorer's buffer, valid until it scores its next block:
+        a caller that keeps them copies them.
         """
-        model = self.model
-        batch = featurize_batch(texts, model.vocab, model.feature_config)
+        batch = featurize_batch(texts, self.model.vocab, self.model.feature_config)
+        for has, v in self._iter_vectors(batch):
+            yield has, self._probs(v)
+
+    def _iter_vectors(self, batch: FeatureBatch) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Per block of up to LINE_BLOCK lines of ``batch``: which of them
+        have features, and the sentence vectors of those, one row each."""
         mults = batch.counts.astype(np.float64)
-        for start in range(0, len(texts), LINE_BLOCK):
+        sizes = np.diff(batch.offsets)
+        # one multiplicity sum per line with features: between two such
+        # starts lie only that line's ids
+        totals = np.add.reduceat(mults, batch.offsets[:-1][sizes > 0])
+        scratch = self._gather.rows(int(sizes.max(initial=0)))
+        done = 0
+        for start in range(0, len(sizes), LINE_BLOCK):
             bounds = batch.offsets[start : start + LINE_BLOCK + 1]
             has = bounds[1:] > bounds[:-1]
             spans = [(lo, hi) for lo, hi in zip(bounds.tolist(), bounds[1:].tolist()) if lo < hi]
-            v = np.empty((len(spans), model.train_config.dim))
-            for row, (lo, hi) in enumerate(spans):
-                v[row] = _mean_embedding(model.input_embeddings, batch.ids[lo:hi], mults[lo:hi])
-            yield has, self._probs(v)
+            v = self._vectors.rows(len(spans))
+            _weighted_means(self.model.input_embeddings, batch.ids, mults, spans,
+                            totals[done : done + len(spans)], scratch, v)
+            done += len(spans)
+            yield has, v
 
     def _logits(self, v: np.ndarray) -> np.ndarray:
-        """The logits of the sentence vectors ``v``, one row each."""
-        logits = np.empty((len(v), len(self._out)))
+        """The logits of the sentence vectors ``v``, one row each, in the
+        Scorer's buffer."""
+        logits = self._z.rows(len(v))
         for r0, r1 in self._row_blocks:
             np.matmul(self._out[r0:r1], v[:, :, None], out=logits[:, r0:r1, None])
         return logits
 
     def _probs(self, v: np.ndarray) -> np.ndarray:
-        """Checked softmax probabilities of the sentence vectors ``v``, one row each."""
+        """Checked softmax probabilities of the sentence vectors ``v``, one
+        row each, in the Scorer's buffer."""
         p = _softmax_in_place(self._logits(v))
         check_probs(p, self.model.labels)
         return p
 
     def probs(self, text: str) -> np.ndarray:
-        """The probabilities of one text, a block of one; NoFeatures when it
-        has no features."""
+        """The probabilities of one text, a block of one, in an array of its
+        own; NoFeatures when it has no features."""
         has, p = next(self.iter_blocks([text]))
         if not has[0]:
             raise NoFeatures(f"no features in {text!r}")
-        return p[0]
+        return p[0].copy()
 
 
 def predict_dist(model: LidModel, text: str) -> PredictionDist:

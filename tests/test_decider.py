@@ -9,6 +9,8 @@ and base sets smaller than k.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,14 @@ from hypothesis import strategies as st
 
 from lidkit.decision import Decider, DecisionConfig, LanguageHierarchy, decide, rollup
 from lidkit.features import FeatureConfig, Vocabulary
-from lidkit.model import UNDETERMINED, LidModel, PredictionDist, TrainConfig, top_k
+from lidkit.model import (
+    LINE_BLOCK,
+    UNDETERMINED,
+    LidModel,
+    PredictionDist,
+    TrainConfig,
+    top_k,
+)
 
 # --- oracle ------------------------------------------------------------------
 
@@ -265,3 +274,40 @@ def test_batches_decide_and_rank_as_single_lines(size):
     assert (batched.lines, batched.no_feature, batched.und) == (
         single.lines, single.no_feature, single.und)
     assert single.no_feature > 0
+
+
+def test_scoring_reuses_its_arrays_across_blocks():
+    """tracemalloc sees numpy's buffers.  Building a Decider for a
+    1,601-label model and ranking one line allocates a few label-sized rows,
+    not a block of them; a warm Decider scores a block in far less than one
+    block of float64 logits, and more blocks add only what their lines'
+    features and results take."""
+    labels = tuple(f"l{i:04d}" for i in range(1601))
+    rng = np.random.default_rng(5)
+    words = (("w0", 1), ("w1", 1), ("w2", 1))
+    model = LidModel(Vocabulary(words, {"w0": 0, "w1": 1, "w2": 2}, labels),
+                     FeatureConfig(min_count=1, bucket=50, minn=2, maxn=3), TrainConfig(dim=4),
+                     rng.normal(size=(53, 4)).astype(np.float32),
+                     rng.normal(size=(len(labels), 4)).astype(np.float32))
+    hierarchy = LanguageHierarchy({labels[100 + v]: labels[v // 3] for v in range(300)})
+    universe = sorted({hierarchy.macro_of.get(l, l) for l in labels})
+    config = DecisionConfig.for_model(universe, 0.5, universe[::2])
+    row = 8 * len(labels)  # bytes of one float64 row of logits
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a Decider and its first line: buffers sized at construction would
+    # take LINE_BLOCK rows each
+    assert peak(lambda: Decider(model, config, hierarchy).rank("w0 w1", 3)) < 32 * row
+    decider = Decider(model, config, hierarchy)
+    texts = ["w0 w1 w2", "w1", "", "w2 w2"] * (LINE_BLOCK // 4)
+    decider.rank_batch(texts, 3)
+    one, four = (peak(lambda: decider.rank_batch(texts * n, 3)) for n in (1, 4))
+    assert one < LINE_BLOCK * row / 4
+    assert four - one < 3 * LINE_BLOCK * 1024

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lidkit.corpus import LabeledLine
@@ -293,6 +293,7 @@ class TestReliability:
         ),
         st.integers(1, 12),
     )
+    @example([("a", 0.4, "a")] * 3, 5)  # the rounded mean is one ulp above 0.4
     def test_every_row_lands_in_its_bin(self, rows, n_bins):
         pred = [p for p, _, _ in rows]
         conf = [c for _, c, _ in rows]

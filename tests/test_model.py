@@ -176,12 +176,59 @@ class TestBlockedScorer:
         texts = [["w0 w1", "", "w2 zz w2", "  "][i % 4] + f" x{i}" * (i % 3)
                  for i in range(2 * lidkit.model.LINE_BLOCK + 5)]
         scorer = Scorer(m)
-        blocks = list(scorer.iter_blocks(texts))
+        blocks = [(has, p.copy()) for has, p in scorer.iter_blocks(texts)]
         assert [len(has) for has, _ in blocks] == [lidkit.model.LINE_BLOCK] * 2 + [5]
         has = np.concatenate([h for h, _ in blocks])
         got = np.concatenate([p for _, p in blocks])
         assert has.tolist() == [bool(featurize(t, m.vocab, m.feature_config)) for t in texts]
         assert_same_bits(got, np.array([scorer.probs(t) for t, h in zip(texts, has) if h]))
+
+    def test_successive_probs_stay_independent(self):
+        scorer = Scorer(toy_model(seed=4))
+        first = scorer.probs("w0 w1")
+        kept = first.copy()
+        second = scorer.probs("w2 zz w2")
+        assert_same_bits(first, kept)
+        assert not np.shares_memory(first, second)
+
+    def test_blocks_match_an_independent_oracle(self):
+        """Blocks of texts against a mean, ``out @ v`` and softmax per text,
+        bit for bit, through one Scorer whose buffers must grow: blank lines
+        at block edges, a batch of only blank lines, then a batch with more
+        lines per block and a wider bag than the first."""
+        labels = tuple(f"l{i:03d}" for i in range(130))
+        m = toy_model(labels=labels, dim=8, seed=6)
+
+        def oracle(text):
+            ids, mults = _bag_arrays(featurize(text, m.vocab, m.feature_config))
+            v = ((m.input_embeddings[ids].astype(np.float64) * mults[:, None]).sum(axis=0)
+                 / mults.sum())
+            return softmax(m.output_weights.astype(np.float64) @ v)
+
+        rng = random.Random(8)
+        block = lidkit.model.LINE_BLOCK
+        edges = {0, block - 1, block, 2 * block - 1, 2 * block}
+        wide = [" ".join(rng.choices(["w0", "w1", "w2", "zz"], k=rng.randint(1, 4)) +
+                         [f"x{i}"] * (i % 3)) if i not in edges else " " * (i % 2)
+                for i in range(2 * block + 9)]
+        wide[7] = " ".join(f"y{j} w1" for j in range(40))  # the widest bag
+        batches = [["w0 w0", "", "zz w1 zz"], ["", "  ", ""] * 100, wide]
+
+        def widest(texts):
+            return max(len(featurize(t, m.vocab, m.feature_config).counts) for t in texts)
+
+        assert widest(wide) > widest(batches[0])
+        scorer = Scorer(m)
+        for texts in batches:
+            blocks = [(has, p.copy()) for has, p in scorer.iter_blocks(texts)]
+            assert [len(has) for has, _ in blocks] == [
+                len(texts[i : i + block]) for i in range(0, len(texts), block)]
+            has = np.concatenate([h for h, _ in blocks])
+            assert has.tolist() == [bool(featurize(t, m.vocab, m.feature_config))
+                                    for t in texts]
+            got = np.concatenate([p for _, p in blocks])
+            want = np.array([oracle(t) for t, h in zip(texts, has) if h]).reshape(-1, 130)
+            assert_same_bits(got, want)
 
 
 class TestTemperatureWeights:
