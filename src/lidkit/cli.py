@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage or validation problem, 2 data error
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -97,28 +98,33 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
-def _open_input(path: str | None) -> IO[str]:
-    return open(path, encoding="utf-8") if path else sys.stdin
+@contextlib.contextmanager
+def _serve(args, decider: Decider) -> Iterator[Iterator[list[str]]]:
+    """The serve loop of `predict` and `clean` around their per-chunk work.
 
-
-def _iter_chunks(stream: IO[str]) -> Iterator[list[str]]:
-    """The stream's lines, newlines stripped, BATCH_LINES at a time."""
-    lines = (raw.rstrip("\n") for raw in stream)
-    while chunk := list(itertools.islice(lines, BATCH_LINES)):
-        yield chunk
-
-
-def _report_stats(decider: Decider, start: float) -> None:
-    """One JSON line on stderr: what a predict or clean run read and decided."""
-    elapsed = time.perf_counter() - start
-    stats = {
-        "lines": decider.lines,
-        "no_feature": decider.no_feature,
-        "und": decider.und,
-        "elapsed_s": round(elapsed, 6),
-        "lines_per_s": round(decider.lines / elapsed, 1) if elapsed > 0 else 0.0,
-    }
-    print(json.dumps(stats), file=sys.stderr)
+    Yields the lines of ``-input`` (else stdin), newlines stripped,
+    BATCH_LINES at a time.  It closes the input, never stdin, however the
+    body ends.  When the body ends normally and ``-stats`` is set, it writes
+    one JSON line on stderr: what ``decider`` read and decided and at what
+    rate, timed from opening the input to the end of the body.
+    """
+    start = time.perf_counter()
+    stream = open(args.input, encoding="utf-8") if args.input else sys.stdin
+    try:
+        lines = (raw.rstrip("\n") for raw in stream)
+        yield iter(lambda: list(itertools.islice(lines, BATCH_LINES)), [])
+    finally:
+        if stream is not sys.stdin:
+            stream.close()
+    if args.stats:
+        elapsed = time.perf_counter() - start
+        print(json.dumps({
+            "lines": decider.lines,
+            "no_feature": decider.no_feature,
+            "und": decider.und,
+            "elapsed_s": round(elapsed, 6),
+            "lines_per_s": round(decider.lines / elapsed, 1) if elapsed > 0 else 0.0,
+        }), file=sys.stderr)
 
 
 def _read_label_column(path: str) -> list[str]:
@@ -205,22 +211,15 @@ def cmd_predict(args) -> int:
     base_set = load_label_set(args.base_set) if args.base_set else None
     decider = Decider(model, DecisionConfig.for_model(universe, theta, base_set), hierarchy)
 
-    start = time.perf_counter()
-    stream = _open_input(args.input)
-    try:
-        for chunk in _iter_chunks(stream):
+    with _serve(args, decider) as chunks:
+        for chunk in chunks:
             sys.stdout.write("".join("\t".join(f"{l}\t{p}" for l, p in pairs) + "\n"
                                      for pairs in decider.rank_batch(chunk, args.k)))
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
-    if args.stats:
-        _report_stats(decider, start)
     return 0
 
 
 def _safe_filename(label: str) -> str:
-    if "/" in label or "\\" in label or label in (".", ".."):
+    if "/" in label or "\\" in label or "\x00" in label or label in (".", ".."):
         raise LidkitError(f"model label {label!r} is not usable as a filename")
     return label + ".txt"
 
@@ -244,20 +243,15 @@ def cmd_clean(args) -> int:
         fh.write(text + "\n")
         counts[label] += 1
 
-    start = time.perf_counter()
-    stream = _open_input(args.input)
-    try:
-        for chunk in _iter_chunks(stream):
-            for line, label in zip(chunk, decider.decide_batch(chunk)):
-                route(label, line)
-    finally:
-        for fh in files.values():
-            fh.close()
-        if stream is not sys.stdin:
-            stream.close()
-    write_label_tsv(sys.stdout, counts)
-    if args.stats:
-        _report_stats(decider, start)
+    with _serve(args, decider) as chunks:
+        try:
+            for chunk in chunks:
+                for line, label in zip(chunk, decider.decide_batch(chunk)):
+                    route(label, line)
+        finally:
+            for fh in files.values():
+                fh.close()
+        write_label_tsv(sys.stdout, counts)
     return 0
 
 

@@ -29,6 +29,7 @@ from .model import (
     PredictionDist,
     RowBuffer,
     Scorer,
+    _check_k,
     check_probs,
     top_k,
 )
@@ -269,7 +270,9 @@ class Decider:
         smaller label.  The first pair's label is the decision: an
         Undetermined decision keeps the raw base-set maximum as its
         probability.  A line with no features gives ``[(UNDETERMINED, 1.0)]``.
+        Raises ValueError for k < 1 before it scores or counts a line.
         """
+        _check_k(k)
         return self._per_line(texts, lambda p: self._rank_rows(p, k),
                               lambda: [(UNDETERMINED, 1.0)])
 
@@ -279,6 +282,7 @@ class Decider:
 
     def rank_probs(self, p: np.ndarray, k: int) -> list[tuple[str, float]]:
         """:meth:`rank` for the model's probabilities ``p``, in label order."""
+        _check_k(k)
         return self._rank_rows(p[None], k)[0]
 
 

@@ -207,7 +207,7 @@ def write_report(stream: IO[str], counts: ConfusionCounts, scope: EvalScope) -> 
     labels = sorted(scope.labels)
     for label in labels:
         c = counts.per_label[label]
-        cl = _ratio(c.tp, c.tp + c.fp)
+        cl = cleanness(counts, label)
         stream.write(
             f"{label}\t{c.tp}\t{c.fp}\t{c.fn}\t{c.tn}\t{_f1(c)}\t{_fpr(c)}\t{cl}\n"
         )

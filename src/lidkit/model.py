@@ -361,14 +361,18 @@ def predict_dist(model: LidModel, text: str) -> PredictionDist:
     return PredictionDist(dict(zip(model.labels, p.tolist())))
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
 def predict(model: LidModel, text: str, k: int = 1) -> list[tuple[str, float]]:
     """Top-k labels with probabilities, most probable first.
 
     Ties break toward the lexicographically smaller label.  A sentence
     with no features returns ``[(UNDETERMINED, 1.0)]``.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_k(k)
     try:
         p = Scorer(model).probs(text)
     except NoFeatures:

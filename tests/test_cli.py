@@ -399,6 +399,95 @@ class TestClean:
         assert not out_dir.exists()
 
 
+@pytest.fixture(scope="module")
+def unsafe_models(workdir):
+    """Per unsafe label, a model trained with bbb renamed to that label."""
+    with open(workdir["corpus"], encoding="utf-8") as fh:
+        corpus = fh.read()
+    models = {}
+    for i, label in enumerate(["b/c", "b\x00c"]):
+        path = workdir["root"] / f"unsafe{i}.txt"
+        path.write_text(corpus.replace("__label__bbb ", f"__label__{label} "), encoding="utf-8")
+        models[label] = str(workdir["root"] / f"unsafe{i}.bin")
+        assert main(["train", "-input", str(path), "-output", models[label], "-minCount", "1",
+                     "-bucket", "2000", "-seed", "7", "-dim", "8", "-epoch", "3"]) == 0
+    return models
+
+
+class TestServeLoop:
+    """`predict` and `clean` share one loop: how it reads the input in
+    chunks, closes it and reports."""
+
+    def long_input(self, workdir):
+        # more than two BATCH_LINES chunks, blank lines among them
+        texts = [t for _, t in corpus_rows(workdir["corpus"])] + [""]
+        return "".join(t + "\n" for t in (texts * 11)[:2500])
+
+    def serve(self, capsys, monkeypatch, argv, text, source):
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        else:
+            with open("in.txt", "w", encoding="utf-8") as fh:
+                fh.write(text)
+            argv = argv + ["-input", "in.txt"]
+        rc, out, err = run(capsys, argv + ["-stats"])
+        assert rc == 0
+        assert source != "stdin" or not sys.stdin.closed
+        stats = json.loads(err)
+        return out, {key: stats[key] for key in ("lines", "no_feature", "und")}
+
+    def test_stdin_and_input_file_give_the_same_output(self, workdir, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        text = self.long_input(workdir)
+        argv = ["predict", "-model", workdir["strong"], "-k", "2", "-theta", "0.8"]
+        out, stats = self.serve(capsys, monkeypatch, argv, text, "stdin")
+        assert self.serve(capsys, monkeypatch, argv, text, "file") == (out, stats)
+        assert len(out.splitlines()) == stats["lines"] == 2500
+        assert 0 < stats["no_feature"] < stats["und"] < 2500
+
+        routed = {}
+        for source in ("stdin", "file"):
+            out_dir = tmp_path / source
+            argv = ["clean", "-model", workdir["strong"], "-theta", "0.8",
+                    "-out-dir", str(out_dir)]
+            result = self.serve(capsys, monkeypatch, argv, text, source)
+            files = {name: (out_dir / name).read_text(encoding="utf-8")
+                     for name in sorted(os.listdir(out_dir))}
+            routed[source] = result, files
+        assert routed["stdin"] == routed["file"]
+        (_, clean_stats), files = routed["file"]
+        assert clean_stats == stats
+        assert "und.txt" in files and len(files) > 1
+
+    @pytest.mark.parametrize("label", ["b/c", "b\x00c"])
+    def test_unsafe_label_is_a_data_error_that_closes_every_file(
+            self, unsafe_models, workdir, tmp_path, capsys, monkeypatch, label):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr("lidkit.cli.open", recording_open, raising=False)
+        rows = corpus_rows(workdir["corpus"])
+        # an aaa line opens aaa.txt before a bbb line meets the unsafe label
+        text = next(t for g, t in rows if g == "aaa") + "\n" + next(
+            t for g, t in rows if g == "bbb") + "\n"
+        sentences = tmp_path / "in.txt"
+        sentences.write_text(text, encoding="utf-8")
+        argv = ["clean", "-model", unsafe_models[label], "-out-dir", str(tmp_path / "routed")]
+        rc, out, err = run(capsys, argv + ["-input", str(sentences)])
+        assert rc == 2 and out == ""
+        assert "is not usable as a filename" in err
+        assert [os.path.basename(fh.name) for fh in opened] == ["in.txt", "aaa.txt"]
+        assert all(fh.closed for fh in opened)
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(capsys, argv)[0] == 2
+        assert not sys.stdin.closed
+
+
 def macro_row(report):
     for line in report.splitlines():
         if line.startswith("__macro__\t"):

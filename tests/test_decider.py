@@ -252,6 +252,17 @@ def test_counts_lines_without_features_as_undetermined():
     assert (decider.lines, decider.no_feature, decider.und) == (2, 2, 2)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_is_rejected_before_any_line_is_counted(k):
+    labels = ["aa", "bb"]
+    decider = Decider(tiny_model(labels), DecisionConfig.for_model(labels, 0.0))
+    for call in (lambda: decider.rank_batch(["", "x"], k), lambda: decider.rank("x", k),
+                 lambda: decider.rank_probs(np.array([0.5, 0.5]), k)):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            call()
+    assert (decider.lines, decider.no_feature, decider.und) == (0, 0, 0)
+
+
 @pytest.mark.parametrize("size", [1, 7, 40])
 def test_batches_decide_and_rank_as_single_lines(size):
     rng = np.random.default_rng(3)
