@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import itertools
 import json
 import os
@@ -30,6 +31,7 @@ from .decision import (
     Decider,
     DecisionConfig,
     Scenario,
+    _content_lines,
     _pairs_to_map,
     _read_pair_lines,
     load_hierarchy,
@@ -71,15 +73,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep or not key.strip():
-                raise FormatError(f"{path}:{lineno}: expected key=value")
-            cfg[key.strip()] = value.strip()
+    for lineno, line in _content_lines(path):
+        key, sep, value = line.partition("=")
+        if not sep or not key.strip():
+            raise FormatError(f"{path}:{lineno}: expected key=value")
+        cfg[key.strip()] = value.strip()
     return cfg
 
 
@@ -218,10 +216,18 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _safe_filename(label: str) -> str:
+def _open_label_file(out_dir: str, label: str) -> IO[str]:
+    """``<label>.txt`` in ``out_dir``, opened for writing; LidkitError when
+    the label cannot name a file there."""
+    unusable = LidkitError(f"model label {label!r} is not usable as a filename")
     if "/" in label or "\\" in label or "\x00" in label or label in (".", ".."):
-        raise LidkitError(f"model label {label!r} is not usable as a filename")
-    return label + ".txt"
+        raise unusable
+    try:
+        return open(os.path.join(out_dir, label + ".txt"), "w", encoding="utf-8")
+    except OSError as exc:
+        if exc.errno != errno.ENAMETOOLONG:
+            raise
+        raise unusable from None
 
 
 def cmd_clean(args) -> int:
@@ -238,8 +244,7 @@ def cmd_clean(args) -> int:
         fh = files.get(label)
         if fh is None:
             os.makedirs(args.out_dir, exist_ok=True)  # lazily, so empty input makes nothing
-            fh = open(os.path.join(args.out_dir, _safe_filename(label)), "w", encoding="utf-8")
-            files[label] = fh
+            fh = files[label] = _open_label_file(args.out_dir, label)
         fh.write(text + "\n")
         counts[label] += 1
 

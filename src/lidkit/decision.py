@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -344,18 +344,24 @@ def map_labels(
 # --- data file loaders ------------------------------------------------------
 
 
-def _read_pair_lines(path: str) -> list[tuple[int, str, str]]:
-    """Parse a two-column TSV with '#' comment lines; (lineno, src, tgt)."""
-    rows: list[tuple[int, str, str]] = []
+def _content_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(lineno, line) for each line of a UTF-8 file, stripped, that is
+    neither blank nor a '#' comment."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise FormatError(f"{path}:{lineno}: expected 'source<TAB>target'")
-            rows.append((lineno, parts[0], parts[1]))
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
+def _read_pair_lines(path: str) -> list[tuple[int, str, str]]:
+    """Parse a two-column TSV with '#' comment lines; (lineno, src, tgt)."""
+    rows: list[tuple[int, str, str]] = []
+    for lineno, line in _content_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise FormatError(f"{path}:{lineno}: expected 'source<TAB>target'")
+        rows.append((lineno, parts[0], parts[1]))
     return rows
 
 
@@ -385,12 +391,8 @@ def load_label_map(path: str) -> LabelMap:
 def load_label_set(path: str) -> frozenset[str]:
     """Load a one-label-per-line file ('#' comments allowed)."""
     labels: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if any(ch.isspace() for ch in line):
-                raise FormatError(f"{path}:{lineno}: label contains whitespace")
-            labels.add(line)
+    for lineno, line in _content_lines(path):
+        if any(ch.isspace() for ch in line):
+            raise FormatError(f"{path}:{lineno}: label contains whitespace")
+        labels.add(line)
     return frozenset(labels)

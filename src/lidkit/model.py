@@ -8,9 +8,9 @@ with temperature up-sampling so low-resource classes are seen more often
 than their raw share of the corpus.
 
 Model files are little-endian binary: magic ``GLIDMODL``, a u32 format
-version, both config blocks, the label and word tables (length-prefixed
-UTF-8), the two f32 row-major weight matrices, and a trailing CRC32 of all
-preceding bytes.
+version, the config fields in the order and widths of ``_CONFIG_FIELDS``,
+the label and word tables (length-prefixed UTF-8), the two f32 row-major
+weight matrices, and a trailing CRC32 of all preceding bytes.
 """
 
 from __future__ import annotations
@@ -124,6 +124,9 @@ class LidModel:
         # decisions break ties by column order, so it must be label order
         if list(self.vocab.labels) != sorted(set(self.vocab.labels)):
             raise ValueError("labels must be sorted and distinct")
+        # a prediction of it could not be told apart from no decision
+        if UNDETERMINED in self.vocab.labels:
+            raise ValueError(f"label {UNDETERMINED!r} is reserved for undetermined")
         _check_finite("input_embeddings", self.input_embeddings)
         _check_finite("output_weights", self.output_weights)
 
@@ -578,6 +581,15 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
+# per config class, in file order: each field's name and struct code, where
+# "s" is a u32-length-prefixed UTF-8 string
+_CONFIG_FIELDS: dict[type, tuple[tuple[str, str], ...]] = {
+    FeatureConfig: (("min_count", "Q"), ("min_count_label", "Q"), ("word_ngrams", "I"),
+                    ("bucket", "Q"), ("minn", "I"), ("maxn", "I")),
+    TrainConfig: (("dim", "I"), ("epochs", "I"), ("lr", "d"), ("loss", "s"),
+                  ("inv_temperature", "d"), ("seed", "Q")),
+}
+
 # matrix bytes read or written, and checksummed, per call
 _IO_CHUNK = 16 << 20
 
@@ -657,7 +669,6 @@ def save_model(model: LidModel, path: str) -> None:
 
 
 def _write_model(model: LidModel, fh: BinaryIO) -> None:
-    fc, tc = model.feature_config, model.train_config
     crc = 0
 
     def emit(chunk: bytes | memoryview) -> None:
@@ -667,20 +678,10 @@ def _write_model(model: LidModel, fh: BinaryIO) -> None:
 
     emit(MODEL_MAGIC)
     emit(struct.pack("<I", MODEL_FORMAT_VERSION))
-    emit(
-        struct.pack(
-            "<QQIQII",
-            fc.min_count,
-            fc.min_count_label,
-            fc.word_ngrams,
-            fc.bucket,
-            fc.minn,
-            fc.maxn,
-        )
-    )
-    emit(struct.pack("<IId", tc.dim, tc.epochs, tc.lr))
-    emit(_pack_str(tc.loss))
-    emit(struct.pack("<dQ", tc.inv_temperature, tc.seed))
+    for config in (model.feature_config, model.train_config):
+        for name, code in _CONFIG_FIELDS[type(config)]:
+            value = getattr(config, name)
+            emit(_pack_str(value) if code == "s" else struct.pack("<" + code, value))
     emit(struct.pack("<I", len(model.vocab.labels)))
     for label in model.vocab.labels:
         emit(_pack_str(label))
@@ -719,27 +720,11 @@ def _read_model(cur: _Reader) -> LidModel:
     if version != MODEL_FORMAT_VERSION:
         raise UnsupportedFormat(f"unknown model format version {version}")
 
-    min_count, min_count_label, word_ngrams, bucket, minn, maxn = cur.unpack("<QQIQII")
-    dim, epochs, lr = cur.unpack("<IId")
-    loss = cur.take_str()
-    inv_temperature, seed = cur.unpack("<dQ")
+    fields = {cls: {name: cur.take_str() if code == "s" else cur.unpack("<" + code)[0]
+                    for name, code in layout}
+              for cls, layout in _CONFIG_FIELDS.items()}
     try:
-        feature_config = FeatureConfig(
-            min_count=min_count,
-            min_count_label=min_count_label,
-            word_ngrams=word_ngrams,
-            bucket=bucket,
-            minn=minn,
-            maxn=maxn,
-        )
-        train_config = TrainConfig(
-            dim=dim,
-            epochs=epochs,
-            lr=lr,
-            loss=loss,
-            inv_temperature=inv_temperature,
-            seed=seed,
-        )
+        feature_config, train_config = (cls(**values) for cls, values in fields.items())
     except ValueError as exc:
         raise CorruptModel(f"invalid config in model file: {exc}") from None
 
@@ -762,14 +747,14 @@ def _read_model(cur: _Reader) -> LidModel:
     )
 
     # the sizes the header claims must be what is left, before allocating
-    n_features = n_words + bucket
-    matrix_bytes = (n_features + n_labels) * dim * 4
+    n_features = n_words + feature_config.bucket
+    matrix_bytes = (n_features + n_labels) * train_config.dim * 4
     if matrix_bytes + 4 > cur.left:
         raise CorruptModel("unexpected end of model file")
     if matrix_bytes + 4 < cur.left:
         raise CorruptModel("trailing bytes in model file")
-    emb = cur.take_f32(n_features, dim)
-    out = cur.take_f32(n_labels, dim)
+    emb = cur.take_f32(n_features, train_config.dim)
+    out = cur.take_f32(n_labels, train_config.dim)
     crc = cur.crc
     (stored_crc,) = cur.unpack("<I")
     if crc != stored_crc:

@@ -399,13 +399,17 @@ class TestClean:
         assert not out_dir.exists()
 
 
+# longer than the 255-byte file name limit of common file systems
+LONG_LABEL = "b" * 300
+
+
 @pytest.fixture(scope="module")
 def unsafe_models(workdir):
     """Per unsafe label, a model trained with bbb renamed to that label."""
     with open(workdir["corpus"], encoding="utf-8") as fh:
         corpus = fh.read()
     models = {}
-    for i, label in enumerate(["b/c", "b\x00c"]):
+    for i, label in enumerate(["b/c", "b\x00c", LONG_LABEL]):
         path = workdir["root"] / f"unsafe{i}.txt"
         path.write_text(corpus.replace("__label__bbb ", f"__label__{label} "), encoding="utf-8")
         models[label] = str(workdir["root"] / f"unsafe{i}.bin")
@@ -460,7 +464,7 @@ class TestServeLoop:
         assert clean_stats == stats
         assert "und.txt" in files and len(files) > 1
 
-    @pytest.mark.parametrize("label", ["b/c", "b\x00c"])
+    @pytest.mark.parametrize("label", ["b/c", "b\x00c", pytest.param(LONG_LABEL, id="b*300")])
     def test_unsafe_label_is_a_data_error_that_closes_every_file(
             self, unsafe_models, workdir, tmp_path, capsys, monkeypatch, label):
         opened = []

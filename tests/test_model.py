@@ -738,3 +738,49 @@ class TestSerialization:
         path.write_bytes(b"GL")
         with pytest.raises(UnsupportedFormat):
             load_model(str(path))
+
+    def test_config_header_matches_the_packed_layout(self, tmp_path):
+        import dataclasses
+        import struct
+
+        fc = FeatureConfig(min_count=3, min_count_label=1, word_ngrams=2, bucket=7,
+                           minn=1, maxn=6)
+        tc = TrainConfig(dim=3, epochs=1, lr=0.123456789, inv_temperature=1.0, seed=2**64 - 1)
+        assert all(getattr(fc, f.name) != f.default for f in dataclasses.fields(fc))
+        assert all(getattr(tc, f.name) != f.default
+                   for f in dataclasses.fields(tc) if f.name != "loss")
+        vocab = Vocabulary((), {}, ("aa", "bb"))
+        model = LidModel(vocab, fc, tc, np.zeros((7, 3), np.float32), np.zeros((2, 3), np.float32))
+        path = str(tmp_path / "m.bin")
+        save_model(model, path)
+        header = (struct.pack("<QQIQII", 3, 1, 2, 7, 1, 6)
+                  + struct.pack("<IId", 3, 1, 0.123456789)
+                  + struct.pack("<I", 7) + b"softmax"
+                  + struct.pack("<dQ", 1.0, 2**64 - 1))
+        with open(path, "rb") as fh:
+            assert fh.read(12 + len(header))[12:] == header
+        loaded = load_model(path)
+        assert (loaded.feature_config, loaded.train_config) == (fc, tc)
+        for cls in (FeatureConfig, TrainConfig):
+            names = [name for name, _ in lidkit.model._CONFIG_FIELDS[cls]]
+            assert set(names) == {f.name for f in dataclasses.fields(cls)}
+            assert len(names) == len(set(names))
+
+    def test_und_label_is_reserved(self, tmp_path):
+        import struct
+        import zlib
+
+        with pytest.raises(ValueError, match="'und' is reserved"):
+            toy_model(labels=("aaa", UNDETERMINED))
+        model = toy_model(labels=("aaa", "bbb"))
+        path = tmp_path / "m.bin"
+        save_model(model, str(path))
+        blob = bytearray(path.read_bytes())
+        label = struct.pack("<I", 3) + b"bbb"
+        assert blob.count(label) == 1
+        at = blob.index(label) + 4
+        blob[at : at + 3] = UNDETERMINED.encode("ascii")
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptModel, match="'und' is reserved"):
+            load_model(str(path))
