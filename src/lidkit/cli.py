@@ -29,7 +29,6 @@ from . import __version__
 from .corpus import LABEL_PREFIX, contamination_rate, read_corpus, write_label_tsv
 from .decision import (
     Decider,
-    DecisionConfig,
     Scenario,
     _content_lines,
     _pairs_to_map,
@@ -201,13 +200,8 @@ def cmd_predict(args) -> int:
 
     model = load_model(args.model)
     hierarchy = load_hierarchy(args.hierarchy) if args.hierarchy else None
-    # varieties are consolidated before the base-set restriction applies,
-    # so the decision universe is the rolled-up label inventory
-    universe: frozenset[str] = frozenset(
-        hierarchy.macro_of.get(l, l) for l in model.labels
-    ) if hierarchy else frozenset(model.labels)
     base_set = load_label_set(args.base_set) if args.base_set else None
-    decider = Decider(model, DecisionConfig.for_model(universe, theta, base_set), hierarchy)
+    decider = Decider(model, theta, base_set, hierarchy)
 
     with _serve(args, decider) as chunks:
         for chunk in chunks:
@@ -236,7 +230,7 @@ def cmd_clean(args) -> int:
     theta = _check_theta(args.theta)
 
     model = load_model(args.model)
-    decider = Decider(model, DecisionConfig.for_model(model.labels, theta))
+    decider = Decider(model, theta)
     counts: Counter[str] = Counter()
     files: dict[str, IO[str]] = {}
 

@@ -26,30 +26,34 @@ LABEL_PREFIX = "__label__"
 #: Sentinel label for "no decision": emitted when a sentence has no
 #: features, and by the threshold rule when no base-set probability is
 #: confident enough.  "und" is the ISO 639-3 code for undetermined.  It is
-#: reserved: no labeled line may carry it, so it never names a language.
+#: reserved (:func:`check_label`), so it never names a language.
 UNDETERMINED = "und"
 
 # Script codes excluded from purity accounting (ISO 15924 Common/Inherited).
 _IGNORED_SCRIPTS = ("Zyyy", "Zinh")
 
 
+def check_label(label: str) -> None:
+    """ValueError for a label that is empty, holds whitespace or is ``und``."""
+    if label.split() != [label]:  # empty, or holds whitespace
+        raise ValueError(f"bad label: {label!r}")
+    if label == UNDETERMINED:
+        raise ValueError(f"label {UNDETERMINED!r} is reserved for undetermined")
+
+
 @dataclass(frozen=True)
 class LabeledLine:
     """One labeled sentence.
 
-    Text is NFC-normalized and trimmed on construction; the label must be
-    non-empty, free of whitespace and not the reserved ``und``.
-    Construction fails with ValueError if an invariant cannot be met.
+    Text is NFC-normalized and trimmed on construction; ValueError if it is
+    then empty, or if the label fails :func:`check_label`.
     """
 
     label: str
     text: str
 
     def __post_init__(self) -> None:
-        if not self.label or any(ch.isspace() for ch in self.label):
-            raise ValueError(f"bad label: {self.label!r}")
-        if self.label == UNDETERMINED:
-            raise ValueError(f"label {UNDETERMINED!r} is reserved for undetermined")
+        check_label(self.label)
         norm = unicodedata.normalize("NFC", self.text).strip()
         if not norm:
             raise ValueError("empty text after trimming")

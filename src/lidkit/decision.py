@@ -22,9 +22,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
+from .corpus import UNDETERMINED, check_label
 from .errors import EmptyScope, FormatError, UnmappedLabel
 from .model import (
-    UNDETERMINED,
     LidModel,
     PredictionDist,
     RowBuffer,
@@ -83,8 +83,8 @@ class DecisionConfig:
 
 @dataclass(frozen=True)
 class LanguageHierarchy:
-    """Variety -> macrolanguage map.  Flat by construction: a macrolanguage
-    may never itself appear as a variety, which also rules out cycles."""
+    """Variety -> macrolanguage map.  Flat by construction: no macrolanguage
+    is also a variety, so no cycles; each passes :func:`check_label`."""
 
     macro_of: Mapping[str, str]
 
@@ -92,6 +92,8 @@ class LanguageHierarchy:
         bad = set(self.macro_of) & set(self.macro_of.values())
         if bad:
             raise ValueError(f"labels are both variety and macrolanguage: {sorted(bad)}")
+        for macro in set(self.macro_of.values()):
+            check_label(macro)
 
 
 @dataclass(frozen=True)
@@ -160,13 +162,14 @@ class _RollupPlan:
 class Decider:
     """The decision path of one run of `predict` or `clean`.
 
-    Built once from a model, a decision config and an optional hierarchy.
-    It takes lines in batches: it featurizes a batch at once, then per
-    block of lines computes the model's probabilities (:class:`Scorer`),
-    folds varieties with a column plan, takes the base-set columns in
-    sorted label order, and decides each line by their first maximum and
-    theta.  It counts the lines it scored, those with no features and the
-    Undetermined decisions (no-feature lines included).
+    Built once from a model and the ``-theta``, ``-base-set`` and
+    ``-hierarchy`` values.  Varieties fold first, so the decision scope is
+    the rolled-up labels, cut to the base set if there is one; EmptyScope if
+    none remain.  Per block of lines it computes the model's probabilities
+    (:class:`Scorer`), rolls them up, takes the base-set columns in label
+    order and decides each line by their first maximum and theta.  It counts
+    the lines, those with no features, and the Undetermined ones (no-feature
+    lines too).
 
     Like its Scorer, it keeps the arrays of a block (the rolled-up
     probabilities, which top-k's partition copy then reuses, and their
@@ -177,17 +180,16 @@ class Decider:
     def __init__(
         self,
         model: LidModel,
-        config: DecisionConfig,
+        theta: float,
+        base_set: Iterable[str] | None = None,
         hierarchy: LanguageHierarchy | None = None,
     ):
         self._scorer = Scorer(model)
         self._plan = None if hierarchy is None else _RollupPlan(model.labels, hierarchy)
         labels = model.labels if self._plan is None else self._plan.labels
+        config = DecisionConfig.for_model(labels, theta, base_set)
         column = {label: i for i, label in enumerate(labels)}
         self._base_labels = sorted(config.base_set)
-        for label in self._base_labels:
-            if label not in column:
-                raise ValueError(f"base set label {label!r} not in distribution")
         self._base_cols = np.array([column[l] for l in self._base_labels], dtype=np.intp)
         self._theta = config.theta
         self._rolled = RowBuffer(len(labels))

@@ -27,7 +27,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import UNDETERMINED, CorpusStats, LabeledLine
+from .corpus import UNDETERMINED, CorpusStats, LabeledLine, check_label
 from .errors import CorruptModel, NoFeatures, NoLabels, UnsupportedFormat
 from .features import (
     BATCH_LINES,
@@ -124,9 +124,9 @@ class LidModel:
         # decisions break ties by column order, so it must be label order
         if list(self.vocab.labels) != sorted(set(self.vocab.labels)):
             raise ValueError("labels must be sorted and distinct")
-        # a prediction of it could not be told apart from no decision
-        if UNDETERMINED in self.vocab.labels:
-            raise ValueError(f"label {UNDETERMINED!r} is reserved for undetermined")
+        # labels are TSV fields, and a predicted und would read as no decision
+        for label in self.vocab.labels:
+            check_label(label)
         _check_finite("input_embeddings", self.input_embeddings)
         _check_finite("output_weights", self.output_weights)
 

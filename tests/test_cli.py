@@ -317,6 +317,20 @@ class TestPredict:
         assert fields[0] == "aaa"  # bbb's mass lands on its macrolanguage
         assert {fields[0], fields[2]} == {"aaa", "ccc"}
 
+    def test_hierarchy_into_und_is_data_error(self, workdir, tmp_path, capsys):
+        hier = tmp_path / "h.tsv"
+        hier.write_text("aaa\tund\n", encoding="utf-8")
+        aaa_text = next(t for g, t in corpus_rows(workdir["corpus"]) if g == "aaa")
+        sentences = tmp_path / "in.txt"
+        sentences.write_text(aaa_text + "\n", encoding="utf-8")
+        rc, out, _ = run(
+            capsys,
+            ["predict", "-model", workdir["strong"], "-input", str(sentences),
+             "-hierarchy", str(hier)],
+        )
+        assert rc == 2
+        assert out == ""
+
     def test_theta_out_of_range_is_usage_error(self, workdir, capsys):
         rc, _, _ = run(
             capsys, ["predict", "-model", workdir["strong"], "-theta", "1.01"]
@@ -449,6 +463,9 @@ class TestServeLoop:
         assert self.serve(capsys, monkeypatch, argv, text, "file") == (out, stats)
         assert len(out.splitlines()) == stats["lines"] == 2500
         assert 0 < stats["no_feature"] < stats["und"] < 2500
+        rows = out.splitlines()
+        assert stats["und"] == sum(row.split("\t")[0] == "und" for row in rows)
+        assert stats["no_feature"] == rows.count("und\t1.0")
 
         routed = {}
         for source in ("stdin", "file"):

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lidkit.decision import Decider, DecisionConfig, LanguageHierarchy, decide, rollup
+from lidkit.errors import EmptyScope
 from lidkit.features import FeatureConfig, Vocabulary
 from lidkit.model import (
     LINE_BLOCK,
@@ -136,8 +137,8 @@ def hexed(pairs):
 def test_decider_matches_oracle_bit_for_bit(case):
     labels, p, hierarchy, base, k, theta = case
     universe = {hierarchy.macro_of.get(l, l) for l in labels} if hierarchy else labels
-    config = DecisionConfig.for_model(universe, theta, base)
-    decider = Decider(tiny_model(labels), config, hierarchy)
+    config = DecisionConfig.for_model(universe, theta, base)  # the oracle's own scope
+    decider = Decider(tiny_model(labels), theta, base, hierarchy)
     dist = PredictionDist(dict(zip(labels, p.tolist())))
     expected = oracle_rank(dist, hierarchy, config, k)
     assert hexed(decider.rank_probs(p, k)) == hexed(expected)
@@ -193,9 +194,8 @@ def block_cases(draw):
 @given(block_cases())
 def test_batches_decide_and_rank_rows_as_single_rows(case):
     labels, rows, hierarchy, base, k, theta, blocks = case
-    universe = {hierarchy.macro_of.get(l, l) for l in labels} if hierarchy else labels
-    config = DecisionConfig.for_model(universe, theta, base)
-    single, ranked, decided = (Decider(tiny_model(labels), config, hierarchy) for _ in range(3))
+    single, ranked, decided = (Decider(tiny_model(labels), theta, base, hierarchy)
+                               for _ in range(3))
     for decider in (ranked, decided):
         decider._scorer.iter_blocks = lambda texts: iter(blocks)
     n = sum(len(has) for has, _ in blocks)
@@ -224,7 +224,7 @@ def test_top_k_of_a_block_is_each_row_stable_full_sort(weights, n, k):
 
 def test_exact_tie_goes_to_the_smaller_label():
     labels = ["aa", "bb", "cc"]
-    decider = Decider(tiny_model(labels), DecisionConfig.for_model(labels, 0.0))
+    decider = Decider(tiny_model(labels), 0.0)
     p = np.array([0.25, 0.375, 0.375])
     assert decider.rank_probs(p, 3) == [("bb", 0.375), ("cc", 0.375), ("aa", 0.25)]
 
@@ -233,20 +233,27 @@ def test_tie_made_by_rollup_goes_to_the_smaller_macro():
     # cc's mass lands on the unknown macro "zz", tying it with "aa"
     labels = ["aa", "bb", "cc"]
     hierarchy = LanguageHierarchy({"cc": "zz"})
-    config = DecisionConfig.for_model({"aa", "bb", "zz"}, 0.0)
-    decider = Decider(tiny_model(labels), config, hierarchy)
+    decider = Decider(tiny_model(labels), 0.0, {"aa", "bb", "zz"}, hierarchy)
     assert decider.rank_probs(np.array([0.5, 0.0, 0.5]), 5) == [
         ("aa", 0.5), ("zz", 0.5), ("bb", 0.0)]
 
 
-def test_base_label_outside_the_model_is_rejected():
-    with pytest.raises(ValueError, match="'qq'"):
-        Decider(tiny_model(["aa", "bb"]), DecisionConfig(frozenset({"aa", "qq"}), 0.0))
+def test_scope_is_the_rolled_up_labels_in_the_base_set():
+    # qq is no label, cc folds into zz, and zz is a label only through the
+    # hierarchy
+    labels = ["aa", "bb", "cc"]
+    hierarchy = LanguageHierarchy({"cc": "zz"})
+    decider = Decider(tiny_model(labels), 0.0, {"aa", "cc", "qq", "zz"}, hierarchy)
+    assert decider.rank_probs(np.array([0.2, 0.5, 0.3]), 5) == [("zz", 0.3), ("aa", 0.2)]
+    with pytest.raises(EmptyScope):  # cc is a variety, qq no label
+        Decider(tiny_model(labels), 0.0, {"cc", "qq"}, hierarchy)
+    with pytest.raises(EmptyScope):  # zz is no label without the hierarchy
+        Decider(tiny_model(labels), 0.0, {"zz", "qq"})
 
 
 def test_counts_lines_without_features_as_undetermined():
     labels = ["aa", "bb"]
-    decider = Decider(tiny_model(labels), DecisionConfig.for_model(labels, 0.0))
+    decider = Decider(tiny_model(labels), 0.0)
     assert decider.rank("", 2) == [(UNDETERMINED, 1.0)]
     assert decider.decide("   ") == UNDETERMINED
     assert (decider.lines, decider.no_feature, decider.und) == (2, 2, 2)
@@ -255,7 +262,7 @@ def test_counts_lines_without_features_as_undetermined():
 @pytest.mark.parametrize("k", [0, -1])
 def test_k_below_one_is_rejected_before_any_line_is_counted(k):
     labels = ["aa", "bb"]
-    decider = Decider(tiny_model(labels), DecisionConfig.for_model(labels, 0.0))
+    decider = Decider(tiny_model(labels), 0.0)
     for call in (lambda: decider.rank_batch(["", "x"], k), lambda: decider.rank("x", k),
                  lambda: decider.rank_probs(np.array([0.5, 0.5]), k)):
         with pytest.raises(ValueError, match="k must be >= 1"):
@@ -275,8 +282,7 @@ def test_batches_decide_and_rank_as_single_lines(size):
     texts = [" ".join(rng.choice(["xy", "z", "q́", "\U0001F600w", "xy"], size=n))
              for n in rng.integers(0, 5, size=40)]
     hierarchy = LanguageHierarchy({"cc": "aa"})
-    config = DecisionConfig.for_model({"aa", "bb", "dd"}, 0.3)
-    single, batched = Decider(model, config, hierarchy), Decider(model, config, hierarchy)
+    single, batched = (Decider(model, 0.3, {"aa", "bb", "dd"}, hierarchy) for _ in range(2))
     want = [hexed(single.rank(t, 2)) for t in texts] + [single.decide(t) for t in texts]
     chunks = [texts[i : i + size] for i in range(0, len(texts), size)]
     got = [hexed(pairs) for chunk in chunks for pairs in batched.rank_batch(chunk, 2)]
@@ -301,8 +307,7 @@ def test_scoring_reuses_its_arrays_across_blocks():
                      rng.normal(size=(53, 4)).astype(np.float32),
                      rng.normal(size=(len(labels), 4)).astype(np.float32))
     hierarchy = LanguageHierarchy({labels[100 + v]: labels[v // 3] for v in range(300)})
-    universe = sorted({hierarchy.macro_of.get(l, l) for l in labels})
-    config = DecisionConfig.for_model(universe, 0.5, universe[::2])
+    base = sorted({hierarchy.macro_of.get(l, l) for l in labels})[::2]
     row = 8 * len(labels)  # bytes of one float64 row of logits
 
     def peak(call):
@@ -315,8 +320,8 @@ def test_scoring_reuses_its_arrays_across_blocks():
 
     # a Decider and its first line: buffers sized at construction would
     # take LINE_BLOCK rows each
-    assert peak(lambda: Decider(model, config, hierarchy).rank("w0 w1", 3)) < 32 * row
-    decider = Decider(model, config, hierarchy)
+    assert peak(lambda: Decider(model, 0.5, base, hierarchy).rank("w0 w1", 3)) < 32 * row
+    decider = Decider(model, 0.5, base, hierarchy)
     texts = ["w0 w1 w2", "w1", "", "w2 w2"] * (LINE_BLOCK // 4)
     decider.rank_batch(texts, 3)
     one, four = (peak(lambda: decider.rank_batch(texts * n, 3)) for n in (1, 4))

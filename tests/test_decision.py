@@ -169,6 +169,10 @@ class TestRollup:
         with pytest.raises(ValueError):
             LanguageHierarchy({"a": "b", "b": "c"})
 
+    def test_hierarchy_rejects_und_as_macrolanguage(self):
+        with pytest.raises(ValueError, match="'und' is reserved"):
+            LanguageHierarchy({"aaa": "und"})
+
 
 class TestMapLabels:
     def test_consolidates(self):

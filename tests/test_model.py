@@ -784,3 +784,21 @@ class TestSerialization:
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptModel, match="'und' is reserved"):
             load_model(str(path))
+
+    @pytest.mark.parametrize("labels", [("a\tb", "c"), ("", "c")])
+    def test_label_that_is_empty_or_holds_whitespace_is_rejected(self, tmp_path, labels):
+        import struct
+        import zlib
+
+        with pytest.raises(ValueError, match="bad label"):
+            toy_model(labels=labels)
+        path = tmp_path / "m.bin"
+        save_model(toy_model(labels=("aab", "c")), str(path))
+        blob = path.read_bytes()
+        label = struct.pack("<I", 3) + b"aab"
+        assert blob.count(label) == 1
+        bad = labels[0].encode("ascii")
+        blob = blob.replace(label, struct.pack("<I", len(bad)) + bad)[:-4]
+        path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+        with pytest.raises(CorruptModel, match="bad label"):
+            load_model(str(path))

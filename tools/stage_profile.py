@@ -38,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 
 import gen  # noqa: E402
-from lidkit.decision import Decider, DecisionConfig, load_hierarchy, load_label_set  # noqa: E402
+from lidkit.decision import Decider, load_hierarchy, load_label_set  # noqa: E402
 from lidkit.features import BATCH_LINES, featurize_batch  # noqa: E402
 from lidkit.model import _softmax_in_place, check_probs, load_model  # noqa: E402
 
@@ -107,8 +107,7 @@ def main(argv: list[str] | None = None) -> None:
         model = load_model(inputs.model_path)
         hierarchy = load_hierarchy(inputs.hierarchy_path)
         base_set = load_label_set(inputs.base_set_path)
-    universe = {hierarchy.macro_of.get(label, label) for label in model.labels}
-    decider = Decider(model, DecisionConfig.for_model(universe, gen.THETA, base_set), hierarchy)
+    decider = Decider(model, gen.THETA, base_set, hierarchy)
     texts, k = inputs.texts, gen.PREDICT_K
 
     rank_batch_pass(decider, texts, k)  # sizes the buffers
