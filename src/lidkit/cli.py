@@ -99,14 +99,15 @@ def _check_theta(theta: float) -> float:
 def _serve(args, decider: Decider) -> Iterator[Iterator[list[str]]]:
     """The serve loop of `predict` and `clean` around their per-chunk work.
 
-    Yields the lines of ``-input`` (else stdin), newlines stripped,
-    BATCH_LINES at a time.  It closes the input, never stdin, however the
-    body ends.  When the body ends normally and ``-stats`` is set, it writes
-    one JSON line on stderr: what ``decider`` read and decided and at what
-    rate, timed from opening the input to the end of the body.
+    Yields the lines of ``-input`` (else stdin), BATCH_LINES at a time; in
+    both a line ends at ``\n``, which is stripped.  It closes the input,
+    never stdin, however the body ends.  When the body ends normally and
+    ``-stats`` is set, it writes one JSON line on stderr: what ``decider``
+    read and decided and at what rate, timed from opening the input to the
+    end of the body.
     """
     start = time.perf_counter()
-    stream = open(args.input, encoding="utf-8") if args.input else sys.stdin
+    stream = open(args.input, encoding="utf-8", newline="\n") if args.input else sys.stdin
     try:
         lines = (raw.rstrip("\n") for raw in stream)
         yield iter(lambda: list(itertools.islice(lines, BATCH_LINES)), [])
@@ -125,9 +126,10 @@ def _serve(args, decider: Decider) -> Iterator[Iterator[list[str]]]:
 
 
 def _read_label_column(path: str) -> list[str]:
-    """First-column labels of a TSV; corpus-format lines shed their prefix."""
+    """First-column labels of a TSV, one per ``\n``-ended line; corpus-format
+    lines shed their prefix."""
     labels: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if line.startswith(LABEL_PREFIX):
@@ -311,7 +313,7 @@ def cmd_calib(args) -> int:
     gold = _read_label_column(args.gold)
     pred_labels: list[str] = []
     confidences: list[float] = []
-    with open(args.pred, encoding="utf-8") as fh:
+    with open(args.pred, encoding="utf-8", newline="\n") as fh:
         for lineno, raw in enumerate(fh, 1):
             parts = raw.rstrip("\n").split("\t")
             if len(parts) < 2:

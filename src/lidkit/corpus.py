@@ -260,7 +260,8 @@ def parse_corpus_line(raw: str, lineno: int = 0) -> LabeledLine:
 
 
 def read_corpus(path: str) -> list[LabeledLine]:
-    with open(path, encoding="utf-8") as fh:
+    """The corpus file's lines, each ending at ``\n``; a lone ``\r`` is text."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
         return [parse_corpus_line(raw, lineno) for lineno, raw in enumerate(fh, 1)]
 
 

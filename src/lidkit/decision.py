@@ -9,7 +9,8 @@ RAW probabilities, with no renormalization after restriction, and the
 sentence is Undetermined whenever that raw maximum falls below theta.
 
 The arithmetic works on probability arrays whose columns are in sorted
-label order.  :class:`Decider` runs it for `predict` and `clean`;
+label order.  :class:`Decider` runs it for `predict` and `clean`, through
+one row path: it ranks each line's top k, and `clean` takes k = 1.
 :func:`rollup` and :func:`decide` apply the same code to a
 :class:`PredictionDist`.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,8 +34,6 @@ from .model import (
     check_probs,
     top_k,
 )
-
-T = TypeVar("T")
 
 
 class Scenario(enum.Enum):
@@ -167,14 +166,16 @@ class Decider:
     the rolled-up labels, cut to the base set if there is one; EmptyScope if
     none remain.  Per block of lines it computes the model's probabilities
     (:class:`Scorer`), rolls them up, takes the base-set columns in label
-    order and decides each line by their first maximum and theta.  It counts
+    order and ranks each line's top k of them; the first is the decision,
+    Undetermined when its probability is below theta.  That is its one row
+    path: :meth:`decide_batch` is :meth:`rank_batch` with k = 1.  It counts
     the lines, those with no features, and the Undetermined ones (no-feature
     lines too).
 
     Like its Scorer, it keeps the arrays of a block (the rolled-up
     probabilities, which top-k's partition copy then reuses, and their
-    base-set columns) in buffers across blocks, and is not safe to share
-    across threads.
+    base-set columns, unless those are the whole unrolled block) in buffers
+    across blocks, and is not safe to share across threads.
     """
 
     def __init__(
@@ -187,29 +188,25 @@ class Decider:
         self._scorer = Scorer(model)
         self._plan = None if hierarchy is None else _RollupPlan(model.labels, hierarchy)
         labels = model.labels if self._plan is None else self._plan.labels
-        config = DecisionConfig.for_model(labels, theta, base_set)
+        try:
+            config = DecisionConfig.for_model(labels, theta, base_set)
+        except EmptyScope:
+            if self._plan is None:
+                raise
+            raise EmptyScope("base set shares no labels with the model's labels "
+                             "after the rollup") from None
         column = {label: i for i, label in enumerate(labels)}
         self._base_labels = sorted(config.base_set)
-        self._base_cols = np.array([column[l] for l in self._base_labels], dtype=np.intp)
+        cols = np.array([column[l] for l in self._base_labels], dtype=np.intp)
+        # without a rollup, a base set of every label is the scored block
+        # itself; a rolled-up block is copied, as top-k partitions in its buffer
+        self._base_cols = None if self._plan is None and len(cols) == len(labels) else cols
         self._theta = config.theta
         self._rolled = RowBuffer(len(labels))
-        self._base = RowBuffer(len(self._base_cols))
+        self._base = RowBuffer(len(cols))
         self.lines = 0
         self.no_feature = 0
         self.und = 0
-
-    def _per_line(self, texts: Sequence[str], rows_of: Callable[[np.ndarray], list[T]],
-                  no_features: Callable[[], T]) -> list[T]:
-        """Per line of ``texts``: ``rows_of`` its block's probabilities, one
-        row per line with features, or ``no_features()``.  Counts the lines."""
-        out: list[T] = []
-        for has, p in self._scorer.iter_blocks(texts):
-            self.lines += len(has)
-            self.no_feature += len(has) - len(p)
-            self.und += len(has) - len(p)
-            rows = iter(rows_of(p))
-            out += [next(rows) if h else no_features() for h in has.tolist()]
-        return out
 
     def _rolled_up(self, p: np.ndarray) -> np.ndarray:
         """The block ``p`` rolled up and checked, in the Decider's buffer;
@@ -221,7 +218,10 @@ class Decider:
         return p
 
     def _base_probs(self, p: np.ndarray) -> np.ndarray:
-        """The base-set columns of the rolled-up block ``p``, in the Decider's buffer."""
+        """The base-set columns of the rolled-up block ``p``, in the Decider's
+        buffer; ``p`` itself when nothing rolls up and they are every label."""
+        if self._base_cols is None:
+            return p
         return np.take(p, self._base_cols, axis=1, out=self._base.rows(len(p)), mode="clip")
 
     def _top_k(self, q: np.ndarray, k: int) -> np.ndarray:
@@ -230,40 +230,25 @@ class Decider:
         unused without a hierarchy): one label-sized block less to hold."""
         return top_k(q, k, self._rolled.rows(len(q))[:, : q.shape[1]])
 
-    def _decisions(self, q: np.ndarray, cols: np.ndarray) -> list[str]:
-        """Per row of ``q``, the label of its base-set column in ``cols``
-        (its first maximum), or Undetermined when that raw maximum is below
-        theta."""
-        sure = (q[np.arange(len(q)), cols] >= self._theta).tolist()
-        self.und += sure.count(False)
-        labels = self._base_labels
-        return [labels[c] if ok else UNDETERMINED for c, ok in zip(cols.tolist(), sure)]
-
-    def _decide_rows(self, p: np.ndarray) -> list[str]:
-        q = self._base_probs(self._rolled_up(p))
-        return self._decisions(q, np.argmax(q, axis=1))
-
     def _rank_rows(self, p: np.ndarray, k: int) -> list[list[tuple[str, float]]]:
+        """:meth:`rank_batch`'s pairs for each row of the model's
+        probabilities ``p``; counts the Undetermined rows."""
         q = self._base_probs(self._rolled_up(p))
-        order = self._top_k(q, k)
+        # k = 1 is the first maximum, a stable sort's first entry: argmax
+        # finds it without top-k's partition and its scratch block
+        order = np.argmax(q, axis=1)[:, None] if k == 1 else self._top_k(q, k)
+        ranked = np.take_along_axis(q, order, axis=1)
+        sure = (ranked[:, 0] >= self._theta).tolist()
+        self.und += sure.count(False)
+        # each line's pairs, a rank at a time: the decision's, then the rest
         labels = self._base_labels
-        ranked = np.take_along_axis(q, order, axis=1).tolist()
-        rows = []
-        for top, cols, probs in zip(self._decisions(q, order[:, 0]), order.tolist(), ranked):
-            rows.append([(top, probs[0])] + [(labels[c], x) for c, x in zip(cols[1:], probs[1:])])
+        ranks, probs = order.T.tolist(), ranked.T.tolist()
+        tops = [labels[c] if ok else UNDETERMINED for c, ok in zip(ranks[0], sure)]
+        rows = [[pair] for pair in zip(tops, probs[0])]
+        for cols, ps in zip(ranks[1:], probs[1:]):
+            for row, c, x in zip(rows, cols, ps):
+                row.append((labels[c], x))
         return rows
-
-    def decide_batch(self, texts: Sequence[str]) -> list[str]:
-        """Each line's label, or Undetermined."""
-        return self._per_line(texts, self._decide_rows, lambda: UNDETERMINED)
-
-    def decide(self, text: str) -> str:
-        """:meth:`decide_batch` of one line."""
-        return self.decide_batch([text])[0]
-
-    def decide_probs(self, p: np.ndarray) -> str:
-        """:meth:`decide` for the model's probabilities ``p``, in label order."""
-        return self._decide_rows(p[None])[0]
 
     def rank_batch(self, texts: Sequence[str], k: int) -> list[list[tuple[str, float]]]:
         """Per line, its decision and up to k base-set (label, probability) pairs.
@@ -275,8 +260,18 @@ class Decider:
         Raises ValueError for k < 1 before it scores or counts a line.
         """
         _check_k(k)
-        return self._per_line(texts, lambda p: self._rank_rows(p, k),
-                              lambda: [(UNDETERMINED, 1.0)])
+        out: list[list[tuple[str, float]]] = []
+        for has, p in self._scorer.iter_blocks(texts):
+            self.lines += len(has)
+            self.no_feature += len(has) - len(p)
+            self.und += len(has) - len(p)
+            rows = iter(self._rank_rows(p, k))
+            out += [next(rows) if h else [(UNDETERMINED, 1.0)] for h in has.tolist()]
+        return out
+
+    def decide_batch(self, texts: Sequence[str]) -> list[str]:
+        """Each line's label, or Undetermined: :meth:`rank_batch` with k = 1."""
+        return [pairs[0][0] for pairs in self.rank_batch(texts, 1)]
 
     def rank(self, text: str, k: int) -> list[tuple[str, float]]:
         """:meth:`rank_batch` of one line."""

@@ -331,6 +331,20 @@ class TestPredict:
         assert rc == 2
         assert out == ""
 
+    def test_base_set_of_folded_varieties_is_data_error(self, workdir, tmp_path, capsys):
+        hier = tmp_path / "h.tsv"
+        hier.write_text("bbb\taaa\n", encoding="utf-8")
+        base = tmp_path / "base.txt"
+        base.write_text("bbb\n", encoding="utf-8")  # a model label, folded into aaa
+        rc, out, err = run(
+            capsys,
+            ["predict", "-model", workdir["strong"], "-hierarchy", str(hier),
+             "-base-set", str(base)],
+        )
+        assert rc == 2
+        assert out == ""
+        assert "base set shares no labels with the model's labels after the rollup" in err
+
     def test_theta_out_of_range_is_usage_error(self, workdir, capsys):
         rc, _, _ = run(
             capsys, ["predict", "-model", workdir["strong"], "-theta", "1.01"]
@@ -437,9 +451,11 @@ class TestServeLoop:
     chunks, closes it and reports."""
 
     def long_input(self, workdir):
-        # more than two BATCH_LINES chunks, blank lines among them
+        # more than two BATCH_LINES chunks, blank lines among them, and a
+        # line with a "\r" inside and one ending in "\r": lines end at "\n"
         texts = [t for _, t in corpus_rows(workdir["corpus"])] + [""]
-        return "".join(t + "\n" for t in (texts * 11)[:2500])
+        crs = [texts[0] + "\r" + texts[1], texts[2] + "\r"]
+        return "".join(t + "\n" for t in (texts * 11)[:2498] + crs)
 
     def serve(self, capsys, monkeypatch, argv, text, source):
         if source == "stdin":
@@ -473,8 +489,7 @@ class TestServeLoop:
             argv = ["clean", "-model", workdir["strong"], "-theta", "0.8",
                     "-out-dir", str(out_dir)]
             result = self.serve(capsys, monkeypatch, argv, text, source)
-            files = {name: (out_dir / name).read_text(encoding="utf-8")
-                     for name in sorted(os.listdir(out_dir))}
+            files = {name: (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))}
             routed[source] = result, files
         assert routed["stdin"] == routed["file"]
         (_, clean_stats), files = routed["file"]

@@ -290,6 +290,12 @@ class TestCorpusIO:
         with pytest.raises(FormatError, match="line 2"):
             read_corpus(str(path))
 
+    def test_a_line_ends_only_at_newline(self, tmp_path):
+        path = tmp_path / "cr.txt"
+        path.write_bytes(b"__label__aaa xx yy\r zz\n__label__bbb ww\r\n")
+        assert read_corpus(str(path)) == [LabeledLine("aaa", "xx yy\r zz"),
+                                          LabeledLine("bbb", "ww")]
+
     def test_rejects_label_without_text(self):
         with pytest.raises(FormatError):
             parse_corpus_line("__label__eng", 1)

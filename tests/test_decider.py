@@ -134,6 +134,7 @@ def hexed(pairs):
 
 @settings(max_examples=400)
 @given(cases())
+@example((["aa", "bb", "cc"], np.array([0.25, 0.375, 0.375]), None, None, 1, 0.0))  # k = 1, tied
 def test_decider_matches_oracle_bit_for_bit(case):
     labels, p, hierarchy, base, k, theta = case
     universe = {hierarchy.macro_of.get(l, l) for l in labels} if hierarchy else labels
@@ -142,7 +143,7 @@ def test_decider_matches_oracle_bit_for_bit(case):
     dist = PredictionDist(dict(zip(labels, p.tolist())))
     expected = oracle_rank(dist, hierarchy, config, k)
     assert hexed(decider.rank_probs(p, k)) == hexed(expected)
-    assert decider.decide_probs(p) == expected[0][0]
+    assert decider.rank_probs(p, 1)[0][0] == expected[0][0]
     assert decider.und == 2 * (expected[0][0] == UNDETERMINED)
 
 
@@ -245,9 +246,10 @@ def test_scope_is_the_rolled_up_labels_in_the_base_set():
     hierarchy = LanguageHierarchy({"cc": "zz"})
     decider = Decider(tiny_model(labels), 0.0, {"aa", "cc", "qq", "zz"}, hierarchy)
     assert decider.rank_probs(np.array([0.2, 0.5, 0.3]), 5) == [("zz", 0.3), ("aa", 0.2)]
-    with pytest.raises(EmptyScope):  # cc is a variety, qq no label
+    # cc is a model label, but a variety; qq no label
+    with pytest.raises(EmptyScope, match="with the model's labels after the rollup$"):
         Decider(tiny_model(labels), 0.0, {"cc", "qq"}, hierarchy)
-    with pytest.raises(EmptyScope):  # zz is no label without the hierarchy
+    with pytest.raises(EmptyScope, match="with the model$"):  # zz is no label without the hierarchy
         Decider(tiny_model(labels), 0.0, {"zz", "qq"})
 
 
@@ -255,7 +257,7 @@ def test_counts_lines_without_features_as_undetermined():
     labels = ["aa", "bb"]
     decider = Decider(tiny_model(labels), 0.0)
     assert decider.rank("", 2) == [(UNDETERMINED, 1.0)]
-    assert decider.decide("   ") == UNDETERMINED
+    assert decider.decide_batch(["   "]) == [UNDETERMINED]
     assert (decider.lines, decider.no_feature, decider.und) == (2, 2, 2)
 
 
@@ -283,7 +285,7 @@ def test_batches_decide_and_rank_as_single_lines(size):
              for n in rng.integers(0, 5, size=40)]
     hierarchy = LanguageHierarchy({"cc": "aa"})
     single, batched = (Decider(model, 0.3, {"aa", "bb", "dd"}, hierarchy) for _ in range(2))
-    want = [hexed(single.rank(t, 2)) for t in texts] + [single.decide(t) for t in texts]
+    want = [hexed(single.rank(t, 2)) for t in texts] + [single.rank(t, 1)[0][0] for t in texts]
     chunks = [texts[i : i + size] for i in range(0, len(texts), size)]
     got = [hexed(pairs) for chunk in chunks for pairs in batched.rank_batch(chunk, 2)]
     got += [label for chunk in chunks for label in batched.decide_batch(chunk)]
@@ -298,7 +300,8 @@ def test_scoring_reuses_its_arrays_across_blocks():
     1,601-label model and ranking one line allocates a few label-sized rows,
     not a block of them; a warm Decider scores a block in far less than one
     block of float64 logits, and more blocks add only what their lines'
-    features and results take."""
+    features and results take.  `clean`'s Decider, with neither base set
+    nor hierarchy, holds no label-sized block beside the probabilities."""
     labels = tuple(f"l{i:04d}" for i in range(1601))
     rng = np.random.default_rng(5)
     words = (("w0", 1), ("w1", 1), ("w2", 1))
@@ -327,3 +330,6 @@ def test_scoring_reuses_its_arrays_across_blocks():
     one, four = (peak(lambda: decider.rank_batch(texts * n, 3)) for n in (1, 4))
     assert one < LINE_BLOCK * row / 4
     assert four - one < 3 * LINE_BLOCK * 1024
+    # neither a copy of them as base-set columns nor top-k's partition scratch
+    plain = Decider(model, 0.5)
+    assert peak(lambda: plain.decide_batch(texts)) < LINE_BLOCK * row

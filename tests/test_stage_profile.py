@@ -6,7 +6,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STAGES = ("featurize", "sentence vectors", "logits", "softmax+check", "rollup+check",
-          "base columns+top-k", "sum of stages", "rank_batch")
+          "base columns+top-k", "sum of stages", "rank_batch k=3", "rank_batch k=1")
 
 
 def test_prints_each_stage_per_line():

@@ -16,8 +16,11 @@ rank_batch runs them:
 
 Each stage is printed in microseconds per line, the median over the passes,
 beside rank_batch's own time over the same input, which also holds the
-Python that turns each block into (label, probability) pairs.  Staged and
-whole passes alternate, so that a slow spell of the machine shows in both.
+Python that turns each block into (label, probability) pairs.  A last row
+gives rank_batch at k = 1, the path of ``clean`` (``decide_batch``) and of
+``predict``'s default ``-k``, which takes the argmax where top-k
+partitions.  Staged and whole passes alternate, so that a slow spell of
+the machine shows in all of them.
 
 Run from the repo root:
 
@@ -111,10 +114,11 @@ def main(argv: list[str] | None = None) -> None:
     texts, k = inputs.texts, gen.PREDICT_K
 
     rank_batch_pass(decider, texts, k)  # sizes the buffers
-    staged, whole = [], []
+    staged, whole, argmax = [], [], []
     for _ in range(args.passes):
         staged.append(staged_pass(decider, texts, k))
         whole.append(rank_batch_pass(decider, texts, k))
+        argmax.append(rank_batch_pass(decider, texts, 1))
 
     def us_per_line(seconds: list[float]) -> float:
         return 1e6 * statistics.median(seconds) / len(texts)
@@ -129,7 +133,8 @@ def main(argv: list[str] | None = None) -> None:
         total += us
         print(f"{stage:<20} {us:9.1f}")
     print(f"{'sum of stages':<20} {total:9.1f}")
-    print(f"{'rank_batch':<20} {us_per_line(whole):9.1f}")
+    print(f"{f'rank_batch k={k}':<20} {us_per_line(whole):9.1f}")
+    print(f"{'rank_batch k=1':<20} {us_per_line(argmax):9.1f}")
 
 
 if __name__ == "__main__":
