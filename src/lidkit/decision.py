@@ -343,8 +343,9 @@ def map_labels(
 
 def _content_lines(path: str) -> Iterator[tuple[int, str]]:
     """(lineno, line) for each line of a UTF-8 file, stripped, that is
-    neither blank nor a '#' comment."""
-    with open(path, encoding="utf-8") as fh:
+    neither blank nor a '#' comment.  A line ends at ``\n`` only, as in
+    every other reader: a lone ``\r`` stays inside its line."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if line and not line.startswith("#"):

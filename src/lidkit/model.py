@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import math
 import os
 import stat
@@ -450,20 +451,23 @@ def _loss_and_grads(
     loss = -math.log(max(float(p[gold]), 1e-30))
     p[gold] -= 1.0  # now the logit gradient
     dv = out.T @ p
-    return loss, np.multiply.outer(weights, dv), np.multiply.outer(p, v)
+    return loss, weights[:, None] * dv, p[:, None] * v
 
 
 ProgressFn = Callable[[int, int, float], None]
 
 # training steps whose in-pool draws are made in one call
 DRAW_CHUNK = 4096
+# float64 values per draw of the initial embedding table: 512 KiB
+TABLE_DRAW = 1 << 16
 
 
 def _draw_examples(
     rng: np.random.Generator, lang_p: np.ndarray, order: np.ndarray,
     pool_sizes: np.ndarray, total_steps: int,
-) -> Iterator[int]:
-    """The example index of each training step.
+) -> Iterator[int | list[int]]:
+    """What each training step is handed: its example's entry of ``order``,
+    as a Python int, or a list of them where ``order`` is 2-D.
 
     ``order`` lists the examples by language row, stably, and ``pool_sizes``
     holds the length of each language's run of it.  Each step draws a
@@ -479,6 +483,76 @@ def _draw_examples(
     for lo in range(0, total_steps, DRAW_CHUNK):
         langs = lang_seq[lo : lo + DRAW_CHUNK]
         yield from order[starts[langs] + rng.integers(0, pool_sizes[langs])].tolist()
+
+
+def _uniform_table(rng: np.random.Generator, shape: tuple[int, int],
+                   low: float, high: float) -> np.ndarray:
+    """A float32 table of ``shape`` holding, bit for bit,
+    ``rng.uniform(low, high, shape).astype(np.float32)``.
+
+    The values are drawn TABLE_DRAW at a time into one float64 buffer, with
+    ``Generator.uniform``'s arithmetic, ``low + (high - low) * u``, so that
+    no float64 temporary grows with the table.
+    """
+    table = np.empty(shape, dtype=np.float32)
+    flat = table.reshape(-1)
+    buf = np.empty(min(TABLE_DRAW, flat.size))
+    for start in range(0, flat.size, len(buf)):
+        part = flat[start : start + len(buf)]
+        u = buf[: len(part)]
+        rng.random(out=u)
+        u *= high - low
+        u += low
+        part[...] = u
+    return table
+
+
+def _pack_examples(corpus: Sequence[LabeledLine], vocab: Vocabulary, config: FeatureConfig,
+                   label_row: Mapping[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The training examples, featurized BATCH_LINES lines at a time into
+    one packed store: (ids, weights, examples).
+
+    Example e's bag is ``ids[lo:hi]`` (intp) with ``weights[lo:hi]``
+    (float32, its multiplicities over their sum), where ``(lo, hi, gold) =
+    examples[e]`` and gold is its label row.  A line whose label
+    ``min_count_label`` cut has no output row, and one with an empty bag
+    cannot drive an update: neither is an example.
+
+    ``examples`` is sized for the whole corpus up front.  ``ids`` and
+    ``weights`` grow by an eighth, or by the batch if that is more, through
+    ``ndarray.resize``: a realloc, which moves a mapped block's pages
+    rather than copying them, and never a concatenation.  All three are cut
+    to their length at the end.
+    """
+    examples = np.empty((len(corpus), 3), dtype=np.intp)
+    ids = np.empty(0, dtype=np.intp)
+    weights = np.empty(0, dtype=np.float32)
+    n_examples = n_ids = 0
+    lines = (line for line in corpus if line.label in label_row)
+    for part in iter(lambda: list(itertools.islice(lines, BATCH_LINES)), []):
+        batch = featurize_batch([line.text for line in part], vocab, config)
+        sizes = np.diff(batch.offsets)
+        row_of = np.repeat(np.arange(len(part)), sizes)
+        w = (batch.counts / np.bincount(row_of, batch.counts)[row_of]).astype(np.float32)
+        end = n_ids + len(batch.ids)
+        if end > len(ids):
+            grown = max(end, len(ids) + len(ids) // 8)
+            ids.resize(grown, refcheck=False)
+            weights.resize(grown, refcheck=False)
+        ids[n_ids:end] = batch.ids
+        weights[n_ids:end] = w
+        has = sizes > 0
+        block = examples[n_examples : n_examples + int(has.sum())]
+        block[:, 0] = n_ids + batch.offsets[:-1][has]
+        block[:, 1] = n_ids + batch.offsets[1:][has]
+        block[:, 2] = np.fromiter((label_row[line.label] for line in part),
+                                  dtype=np.intp, count=len(part))[has]
+        n_examples += len(block)
+        n_ids = end
+    ids.resize(n_ids, refcheck=False)
+    weights.resize(n_ids, refcheck=False)
+    examples.resize((n_examples, 3), refcheck=False)
+    return ids, weights, examples
 
 
 def train(
@@ -504,45 +578,35 @@ def train(
         raise ValueError("empty corpus")
     vocab = build_vocab(corpus, feature_config)
     label_row = {label: i for i, label in enumerate(vocab.labels)}
-    rng = np.random.default_rng(train_config.seed)
-    dim = train_config.dim
-    # drawn about 2^20 values at a time: the stream of one draw over the
-    # whole table, without a float64 copy of it
-    emb = np.empty((vocab.size + feature_config.bucket, dim), dtype=np.float32)
-    for chunk in np.array_split(emb, 1 + (emb.size >> 20)):
-        chunk[:] = rng.uniform(-1.0 / dim, 1.0 / dim, size=chunk.shape)
-    out = np.zeros((len(vocab.labels), dim), dtype=np.float32)
-
-    # featurize once, in batches; each example is (ids, bag weights, gold
-    # row), the first two views into its batch's arrays.  A sentence whose
-    # label min_count_label cut has no output row, and one with an empty bag
-    # cannot drive an update
-    labeled = [(line.text, label_row[line.label]) for line in corpus
-               if line.label in label_row]
-    examples: list[tuple[np.ndarray, np.ndarray, int]] = []
-    for start in range(0, len(labeled), BATCH_LINES):
-        part = labeled[start : start + BATCH_LINES]
-        batch = featurize_batch([text for text, _ in part], vocab, feature_config)
-        row_of = np.repeat(np.arange(len(part)), np.diff(batch.offsets))
-        weights = (batch.counts / np.bincount(row_of, batch.counts)[row_of]).astype(np.float32)
-        bounds = batch.offsets.tolist()
-        examples += [(batch.ids[lo:hi], weights[lo:hi], gold)
-                     for (_, gold), lo, hi in zip(part, bounds, bounds[1:]) if lo < hi]
-    if not examples:
+    # featurized before the embedding table exists, so that featurize's
+    # freed temporaries are not left on top of it; featurizing draws
+    # nothing from the generator, whose first draw is still the table
+    ids, weights, examples = _pack_examples(corpus, vocab, feature_config, label_row)
+    if not len(examples):
         raise NoFeatures("no sentence in the corpus produced features")
 
-    golds = np.fromiter((g for _, _, g in examples), dtype=np.int64, count=len(examples))
-    counts = np.bincount(golds, minlength=len(vocab.labels))
+    counts = np.bincount(examples[:, 2], minlength=len(vocab.labels))
     drawn = np.flatnonzero(counts)  # label rows with examples, in label order
     stats = CorpusStats({vocab.labels[r]: int(counts[r]) for r in drawn}, len(examples))
     lang_weights = temperature_weights(stats, train_config.inv_temperature)
     lang_p = _language_distribution(lang_weights)[1]
+    # the examples of each drawn label form one pool, in corpus order
+    examples = examples[np.argsort(examples[:, 2], kind="stable")]
+
+    rng = np.random.default_rng(train_config.seed)
+    dim = train_config.dim
+    emb = _uniform_table(rng, (vocab.size + feature_config.bucket, dim), -1.0 / dim, 1.0 / dim)
+    out = np.zeros((len(vocab.labels), dim), dtype=np.float32)
+    # one void element per row of emb: numpy gathers and scatters a bag's
+    # rows as whole blocks of bytes, faster than a 2-D take and setitem,
+    # and row_type views the gathered blocks as float32 rows
+    emb_rows = emb.view(np.dtype((np.void, emb.itemsize * dim))).reshape(-1)
+    row_type = np.dtype((np.float32, (dim,)))
 
     steps_per_epoch = len(examples)
     total_steps = train_config.epochs * steps_per_epoch
-    # the examples of each drawn label form one pool, in corpus order
-    draws = _draw_examples(rng, lang_p, np.argsort(golds, kind="stable"), counts[drawn],
-                           total_steps)
+    # each step is handed its example's (lo, hi, gold) as Python ints
+    draws = _draw_examples(rng, lang_p, examples, counts[drawn], total_steps)
     lr0 = train_config.lr
 
     # a diverging run overflows before its loss turns non-finite; the check
@@ -551,11 +615,12 @@ def train(
         for epoch in range(train_config.epochs):
             loss_sum = 0.0
             first = epoch * steps_per_epoch
-            for step, example in zip(range(first, first + steps_per_epoch), draws):
+            for step, (lo, hi, gold) in zip(range(first, first + steps_per_epoch), draws):
                 lr = lr0 * (1.0 - step / total_steps)
-                ids, w, gold = examples[example]
-                rows = emb.take(ids, axis=0)
-                loss, g_rows, g_out = _loss_and_grads(rows, out, w, gold)
+                bag = ids[lo:hi]
+                gathered = emb_rows.take(bag)
+                rows = gathered.view(row_type)
+                loss, g_rows, g_out = _loss_and_grads(rows, out, weights[lo:hi], gold)
                 if not math.isfinite(loss):
                     raise ValueError(f"training diverged at step {step}: loss {loss}")
                 loss_sum += loss
@@ -565,8 +630,8 @@ def train(
                 g_rows *= lr
                 rows -= g_rows
                 # ids are unique within a bag, and emb has not changed since
-                # the gather, so this is emb[ids] -= g_rows
-                emb[ids] = rows
+                # the gather, so this is emb[bag] -= g_rows
+                emb_rows[bag] = gathered
             if progress is not None:
                 progress(epoch + 1, train_config.epochs, loss_sum / steps_per_epoch)
 

@@ -300,6 +300,16 @@ class TestPredict:
         assert rc == 0
         assert out.split("\t")[0] == "und"
 
+    def test_base_set_with_a_lone_carriage_return_is_data_error(self, workdir, tmp_path, capsys):
+        base = tmp_path / "base.txt"
+        base.write_bytes(b"aaa\rbbb\n")  # one line, whose label holds a \r
+        rc, out, err = run(
+            capsys, ["predict", "-model", workdir["strong"], "-base-set", str(base)]
+        )
+        assert rc == 2
+        assert out == ""
+        assert "label contains whitespace" in err
+
     def test_hierarchy_folds_varieties(self, workdir, tmp_path, capsys):
         hier = tmp_path / "h.tsv"
         hier.write_text("bbb\taaa\n", encoding="utf-8")

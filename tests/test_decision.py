@@ -241,3 +241,23 @@ class TestLoaders:
         p.write_text("two words\n")
         with pytest.raises(FormatError):
             load_label_set(str(p))
+
+    # a lone \r ends no line, as in every other reader
+    def test_label_set_keeps_a_lone_carriage_return_inside_its_line(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_bytes(b"aaa\rbbb\n")
+        with pytest.raises(FormatError, match="label contains whitespace"):
+            load_label_set(str(p))
+
+    def test_hierarchy_keeps_a_lone_carriage_return_inside_its_line(self, tmp_path):
+        p = tmp_path / "h.tsv"
+        p.write_bytes(b"aaa\tccc\rbbb\tccc\n")
+        with pytest.raises(FormatError):
+            load_hierarchy(str(p))
+
+    def test_crlf_files_load_as_before(self, tmp_path):
+        s, h = tmp_path / "s.txt", tmp_path / "h.tsv"
+        s.write_bytes(b"eng\r\n# skip\r\n\r\ndeu\r\n")
+        h.write_bytes(b"twi\taka\r\nprs\tfas\r\n")
+        assert load_label_set(str(s)) == frozenset({"eng", "deu"})
+        assert load_hierarchy(str(h)).macro_of == {"twi": "aka", "prs": "fas"}

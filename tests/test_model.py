@@ -12,7 +12,14 @@ from hypothesis.extra import numpy as hnp
 import lidkit.model
 from lidkit.corpus import CorpusStats, LabeledLine
 from lidkit.errors import CorruptModel, NoFeatures, NoLabels, UnsupportedFormat
-from lidkit.features import FeatureBag, FeatureConfig, Vocabulary, build_vocab, featurize
+from lidkit.features import (
+    FeatureBag,
+    FeatureConfig,
+    Vocabulary,
+    build_vocab,
+    featurize,
+    featurize_batch,
+)
 from lidkit.model import (
     UNDETERMINED,
     LidModel,
@@ -446,6 +453,62 @@ class TestTrain:
                 FeatureConfig(min_count=1, min_count_label=5),
                 TrainConfig(dim=2),
             )
+
+
+class TestTrainMemory:
+    @pytest.mark.parametrize("dim, bucket", [(16, 5000), (100, 3001)])
+    def test_initial_table_is_one_uniform_draw(self, monkeypatch, dim, bucket):
+        # the table is drawn through a buffer smaller than it; its values
+        # must be those of one Generator.uniform call over the whole table,
+        # whatever the rounding of the numpy at hand
+        corpus = synthetic_corpus(n_langs=2, lines_per_lang=20, seed=3)
+        drawn = []
+        draw = lidkit.model._uniform_table
+
+        def recorded_draw(*args):
+            table = draw(*args)
+            drawn.append(table.copy())  # before training moves it
+            return table
+
+        monkeypatch.setattr(lidkit.model, "_uniform_table", recorded_draw)
+        train(corpus, FeatureConfig(min_count=1, bucket=bucket), TrainConfig(dim=dim, epochs=1, seed=9))
+        (table,) = drawn
+        assert table.size > lidkit.model.TABLE_DRAW and table.size % lidkit.model.TABLE_DRAW
+        want = np.random.default_rng(9).uniform(-1 / dim, 1 / dim, table.shape).astype(np.float32)
+        assert table.tobytes() == want.tobytes()
+
+    def test_peak_grows_with_the_packed_features(self):
+        # two-word lines over one lexicon: the vocabulary and the table are
+        # the same for both corpora, and a few hundred bytes of Python
+        # objects per line would outweigh each line's features
+        rng = random.Random(5)
+        lexicon = ["".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(3, 6)))
+                   for _ in range(100)]
+
+        def corpus(n):
+            return [LabeledLine(f"l{i % 4}", " ".join(rng.choices(lexicon, k=2)))
+                    for i in range(n)]
+
+        fc = FeatureConfig(min_count=1, bucket=20_000)
+        tc = TrainConfig(dim=16, epochs=1, seed=1)
+
+        def peak(lines):
+            tracemalloc.start()
+            try:
+                train(lines, fc, tc)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = 3000
+        small, large = corpus(n), corpus(4 * n)
+        train(corpus(50), fc, tc)  # numpy's one-time allocations
+        slope = (peak(large) - peak(small)) / (3 * n)
+        vocab = build_vocab(large, fc)
+        n_ids = len(featurize_batch([line.text for line in large], vocab, fc).ids)
+        # 8 B per intp id and 4 per float32 weight, then an offset and a gold
+        packed = (12 * n_ids + 16 * len(large)) / len(large)
+        assert slope <= 1.25 * packed
 
 
 def model_over(emb, out):
