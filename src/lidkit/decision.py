@@ -10,9 +10,10 @@ sentence is Undetermined whenever that raw maximum falls below theta.
 
 The arithmetic works on probability arrays whose columns are in sorted
 label order.  :class:`Decider` runs it for `predict` and `clean`, through
-one row path: it ranks each line's top k, and `clean` takes k = 1.
-:func:`rollup` and :func:`decide` apply the same code to a
-:class:`PredictionDist`.
+one row path: one column plan folds the model's columns and cuts them to
+the base set in a single pass, then it ranks each line's top k, and
+`clean` takes k = 1.  :func:`rollup` and :func:`decide` apply the same
+code to a :class:`PredictionDist`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .model import (
     RowBuffer,
     Scorer,
     _check_k,
-    check_probs,
     top_k,
 )
 
@@ -106,17 +106,22 @@ class _RollupPlan:
     """Column plan that folds each variety's column into its macrolanguage.
 
     Built once from a label list; :meth:`apply` maps a probability array
-    over those labels to one over :attr:`labels`, the rolled-up labels in
-    sorted order.  Each output entry starts from the macrolanguage's own
-    column (0.0 when it is not an input label), then adds one variety slot
-    at a time, varieties in lexicographic order: the same float additions,
-    in the same order, as the documented left-to-right sum.
+    over those labels to one over :attr:`labels`: the rolled-up labels in
+    sorted order, or, given a ``scope`` of some of them, the scope's labels
+    in sorted order.  Each output entry starts from the label's
+    own column (0.0 when it is not an input label), then adds one variety
+    slot at a time, varieties in lexicographic order: the same float
+    additions, in the same order, as the documented left-to-right sum.  A
+    scoped plan reads no column whose target lies outside the scope, and
+    its entries have the bits of the full plan's.
     """
 
-    def __init__(self, labels: Sequence[str], hierarchy: LanguageHierarchy):
+    def __init__(self, labels: Sequence[str], hierarchy: LanguageHierarchy,
+                 scope: Iterable[str] | None = None):
         targets = [hierarchy.macro_of.get(label, label) for label in labels]
         # dict.fromkeys keeps input order, so sorted input sorts in one pass
-        self.labels: tuple[str, ...] = tuple(sorted(dict.fromkeys(targets)))
+        self.labels: tuple[str, ...] = tuple(
+            sorted(dict.fromkeys(targets) if scope is None else scope))
         row = {label: i for i, label in enumerate(self.labels)}
         # each output label's own input column, and (output rows, input
         # columns) for each slot; a label is its own target exactly when it
@@ -126,6 +131,8 @@ class _RollupPlan:
         has_own = np.zeros(len(self.labels), dtype=bool)
         varieties: dict[str, list[tuple[str, int]]] = {}
         for col, (label, target) in enumerate(zip(labels, targets)):
+            if target not in row:
+                continue
             if label == target:
                 own[row[label]] = col
                 has_own[row[label]] = True
@@ -164,18 +171,21 @@ class Decider:
     Built once from a model and the ``-theta``, ``-base-set`` and
     ``-hierarchy`` values.  Varieties fold first, so the decision scope is
     the rolled-up labels, cut to the base set if there is one; EmptyScope if
-    none remain.  Per block of lines it computes the model's probabilities
-    (:class:`Scorer`), rolls them up, takes the base-set columns in label
-    order and ranks each line's top k of them; the first is the decision,
-    Undetermined when its probability is below theta.  That is its one row
-    path: :meth:`decide_batch` is :meth:`rank_batch` with k = 1.  It counts
-    the lines, those with no features, and the Undetermined ones (no-feature
+    none remain.  One column plan (:class:`_RollupPlan` restricted to the
+    scope) maps the model's labels to the scope's, unless the scope is the
+    model's labels themselves: then nothing folds, nothing is cut and the
+    plan is None.  Per block of lines it computes the model's probabilities
+    (:class:`Scorer`), applies the plan and ranks each line's top k of the
+    scope's columns; the first is the decision, Undetermined when its
+    probability is below theta.  That is its one row path:
+    :meth:`decide_batch` is :meth:`rank_batch` with k = 1.  It counts the
+    lines, those with no features, and the Undetermined ones (no-feature
     lines too).
 
-    Like its Scorer, it keeps the arrays of a block (the rolled-up
-    probabilities, which top-k's partition copy then reuses, and their
-    base-set columns, unless those are the whole unrolled block) in buffers
-    across blocks, and is not safe to share across threads.
+    Like its Scorer, it keeps the arrays of a block in buffers across
+    blocks: ``_scope``, the plan's scope columns, and ``_scratch``, top-k's
+    partition copy, each as wide as the scope.  It is not safe to share
+    across threads.
     """
 
     def __init__(
@@ -186,62 +196,39 @@ class Decider:
         hierarchy: LanguageHierarchy | None = None,
     ):
         self._scorer = Scorer(model)
-        self._plan = None if hierarchy is None else _RollupPlan(model.labels, hierarchy)
-        labels = model.labels if self._plan is None else self._plan.labels
+        macro_of = {} if hierarchy is None else hierarchy.macro_of
+        rolled = {macro_of.get(label, label) for label in model.labels}
         try:
-            config = DecisionConfig.for_model(labels, theta, base_set)
+            config = DecisionConfig.for_model(rolled, theta, base_set)
         except EmptyScope:
-            if self._plan is None:
+            if hierarchy is None:
                 raise
             raise EmptyScope("base set shares no labels with the model's labels "
                              "after the rollup") from None
-        column = {label: i for i, label in enumerate(labels)}
-        self._base_labels = sorted(config.base_set)
-        cols = np.array([column[l] for l in self._base_labels], dtype=np.intp)
-        # without a rollup, a base set of every label is the scored block
-        # itself; a rolled-up block is copied, as top-k partitions in its buffer
-        self._base_cols = None if self._plan is None and len(cols) == len(labels) else cols
+        self._labels = tuple(sorted(config.base_set))
+        # a scope of every model label is the scored block itself
+        self._plan = None if self._labels == model.labels else _RollupPlan(
+            model.labels, hierarchy or LanguageHierarchy({}), self._labels)
         self._theta = config.theta
-        self._rolled = RowBuffer(len(labels))
-        self._base = RowBuffer(len(cols))
+        self._scope = RowBuffer(len(self._labels))
+        self._scratch = RowBuffer(len(self._labels))
         self.lines = 0
         self.no_feature = 0
         self.und = 0
 
-    def _rolled_up(self, p: np.ndarray) -> np.ndarray:
-        """The block ``p`` rolled up and checked, in the Decider's buffer;
-        ``p`` itself when there is no hierarchy."""
-        if self._plan is None:
-            return p
-        p = self._plan.apply(p, out=self._rolled.rows(len(p)))
-        check_probs(p, self._plan.labels)
-        return p
-
-    def _base_probs(self, p: np.ndarray) -> np.ndarray:
-        """The base-set columns of the rolled-up block ``p``, in the Decider's
-        buffer; ``p`` itself when nothing rolls up and they are every label."""
-        if self._base_cols is None:
-            return p
-        return np.take(p, self._base_cols, axis=1, out=self._base.rows(len(p)), mode="clip")
-
-    def _top_k(self, q: np.ndarray, k: int) -> np.ndarray:
-        """:func:`top_k` of the base-set block ``q``.  It partitions in the
-        rolled-up block's buffer, free once ``q`` is taken (and otherwise
-        unused without a hierarchy): one label-sized block less to hold."""
-        return top_k(q, k, self._rolled.rows(len(q))[:, : q.shape[1]])
-
     def _rank_rows(self, p: np.ndarray, k: int) -> list[list[tuple[str, float]]]:
         """:meth:`rank_batch`'s pairs for each row of the model's
         probabilities ``p``; counts the Undetermined rows."""
-        q = self._base_probs(self._rolled_up(p))
+        q = p if self._plan is None else self._plan.apply(p, out=self._scope.rows(len(p)))
         # k = 1 is the first maximum, a stable sort's first entry: argmax
         # finds it without top-k's partition and its scratch block
-        order = np.argmax(q, axis=1)[:, None] if k == 1 else self._top_k(q, k)
+        order = (np.argmax(q, axis=1)[:, None] if k == 1
+                 else top_k(q, k, self._scratch.rows(len(q))))
         ranked = np.take_along_axis(q, order, axis=1)
         sure = (ranked[:, 0] >= self._theta).tolist()
         self.und += sure.count(False)
         # each line's pairs, a rank at a time: the decision's, then the rest
-        labels = self._base_labels
+        labels = self._labels
         ranks, probs = order.T.tolist(), ranked.T.tolist()
         tops = [labels[c] if ok else UNDETERMINED for c, ok in zip(ranks[0], sure)]
         rows = [[pair] for pair in zip(tops, probs[0])]

@@ -135,6 +135,11 @@ def hexed(pairs):
 @settings(max_examples=400)
 @given(cases())
 @example((["aa", "bb", "cc"], np.array([0.25, 0.375, 0.375]), None, None, 1, 0.0))  # k = 1, tied
+# a hierarchy that folds no model label, and no base set: no plan
+@example((["aa", "bb"], np.array([0.5, 0.5]), LanguageHierarchy({"cc": "zz"}), None, 2, 0.5))
+# a base set of macrolanguages that are no model labels, tied after the fold
+@example((["aa", "bb", "cc"], np.array([0.5, 0.25, 0.25]),
+          LanguageHierarchy({"bb": "x1", "cc": "x2"}), {"x1", "x2"}, 3, 0.25))
 def test_decider_matches_oracle_bit_for_bit(case):
     labels, p, hierarchy, base, k, theta = case
     universe = {hierarchy.macro_of.get(l, l) for l in labels} if hierarchy else labels
@@ -333,3 +338,29 @@ def test_scoring_reuses_its_arrays_across_blocks():
     # neither a copy of them as base-set columns nor top-k's partition scratch
     plain = Decider(model, 0.5)
     assert peak(lambda: plain.decide_batch(texts)) < LINE_BLOCK * row
+
+
+def test_a_base_set_is_taken_without_a_block_of_every_rolled_up_label():
+    """The plan writes the base set's columns straight from the model's:
+    beside the Scorer's block of logits, the first rank_batch of a full
+    block holds less than half a block of the 1,301 rolled-up labels."""
+    labels = tuple(f"l{i:04d}" for i in range(1601))
+    rng = np.random.default_rng(5)
+    words = (("w0", 1), ("w1", 1), ("w2", 1))
+    model = LidModel(Vocabulary(words, {"w0": 0, "w1": 1, "w2": 2}, labels),
+                     FeatureConfig(min_count=1, bucket=50, minn=2, maxn=3), TrainConfig(dim=4),
+                     rng.normal(size=(53, 4)).astype(np.float32),
+                     rng.normal(size=(len(labels), 4)).astype(np.float32))
+    hierarchy = LanguageHierarchy({labels[100 + v]: labels[v // 3] for v in range(300)})
+    rolled = sorted({hierarchy.macro_of.get(l, l) for l in labels})
+    base = rolled[::131]
+    assert (len(rolled), len(base)) == (1301, 10)
+    decider = Decider(model, 0.5, base, hierarchy)
+    texts = ["w0 w1 w2", "w1", "w2 w2", "w0"] * (LINE_BLOCK // 4)
+    tracemalloc.start()
+    try:
+        decider.rank_batch(texts, 3)
+        held = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held < LINE_BLOCK * 8 * (len(labels) + len(rolled) // 2)

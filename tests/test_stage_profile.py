@@ -5,8 +5,8 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STAGES = ("featurize", "sentence vectors", "logits", "softmax+check", "rollup+check",
-          "base columns+top-k", "sum of stages", "rank_batch k=3", "rank_batch k=1")
+STAGES = ("featurize", "sentence vectors", "logits", "softmax+check", "scope columns",
+          "top-k", "sum of stages", "rank_batch k=3", "rank_batch k=1")
 
 
 def test_prints_each_stage_per_line():

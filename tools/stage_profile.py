@@ -11,8 +11,9 @@ rank_batch runs them:
     sentence vectors      the block's weighted means of embedding rows
     logits                the row-blocked products with the output layer
     softmax+check         the in-place softmax and the distribution check
-    rollup+check          the hierarchy's column plan and its check
-    base columns+top-k    the base-set columns and their top k
+    scope columns         the Decider's column plan: the rollup, cut to the
+                          base set
+    top-k                 each line's top k of those columns
 
 Each stage is printed in microseconds per line, the median over the passes,
 beside rank_batch's own time over the same input, which also holds the
@@ -43,10 +44,9 @@ sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 import gen  # noqa: E402
 from lidkit.decision import Decider, load_hierarchy, load_label_set  # noqa: E402
 from lidkit.features import BATCH_LINES, featurize_batch  # noqa: E402
-from lidkit.model import _softmax_in_place, check_probs, load_model  # noqa: E402
+from lidkit.model import _softmax_in_place, check_probs, load_model, top_k  # noqa: E402
 
-STAGES = ("featurize", "sentence vectors", "logits", "softmax+check", "rollup+check",
-          "base columns+top-k")
+STAGES = ("featurize", "sentence vectors", "logits", "softmax+check", "scope columns", "top-k")
 
 
 def _batches(texts: list[str]) -> list[list[str]]:
@@ -76,11 +76,11 @@ def staged_pass(decider: Decider, texts: list[str], k: int) -> dict[str, float]:
             _softmax_in_place(z)
             check_probs(z, model.labels)
             lap("softmax+check")
-            p = decider._rolled_up(z)
-            lap("rollup+check")
-            q = decider._base_probs(p)
-            decider._top_k(q, k)
-            lap("base columns+top-k")
+            plan = decider._plan
+            q = z if plan is None else plan.apply(z, out=decider._scope.rows(len(z)))
+            lap("scope columns")
+            top_k(q, k, decider._scratch.rows(len(q)))
+            lap("top-k")
     return spent
 
 
