@@ -183,9 +183,9 @@ class Decider:
     lines too).
 
     Like its Scorer, it keeps the arrays of a block in buffers across
-    blocks: ``_scope``, the plan's scope columns, and ``_scratch``, top-k's
-    partition copy, each as wide as the scope.  It is not safe to share
-    across threads.
+    blocks: ``_scope``, the plan's scope columns, as wide as the scope;
+    :func:`top_k` ranks them in place, one argmax pass per rank, with no
+    copy.  It is not safe to share across threads.
     """
 
     def __init__(
@@ -211,7 +211,6 @@ class Decider:
             model.labels, hierarchy or LanguageHierarchy({}), self._labels)
         self._theta = config.theta
         self._scope = RowBuffer(len(self._labels))
-        self._scratch = RowBuffer(len(self._labels))
         self.lines = 0
         self.no_feature = 0
         self.und = 0
@@ -220,10 +219,7 @@ class Decider:
         """:meth:`rank_batch`'s pairs for each row of the model's
         probabilities ``p``; counts the Undetermined rows."""
         q = p if self._plan is None else self._plan.apply(p, out=self._scope.rows(len(p)))
-        # k = 1 is the first maximum, a stable sort's first entry: argmax
-        # finds it without top-k's partition and its scratch block
-        order = (np.argmax(q, axis=1)[:, None] if k == 1
-                 else top_k(q, k, self._scratch.rows(len(q))))
+        order = top_k(q, k)
         ranked = np.take_along_axis(q, order, axis=1)
         sure = (ranked[:, 0] >= self._theta).tolist()
         self.und += sure.count(False)
@@ -265,9 +261,10 @@ class Decider:
         return self.rank_batch([text], k)[0]
 
     def rank_probs(self, p: np.ndarray, k: int) -> list[tuple[str, float]]:
-        """:meth:`rank` for the model's probabilities ``p``, in label order."""
+        """:meth:`rank` for the model's probabilities ``p``, in label order;
+        it ranks a copy, as ranking writes into what it ranks."""
         _check_k(k)
-        return self._rank_rows(p[None], k)[0]
+        return self._rank_rows(np.array(p, dtype=np.float64)[None], k)[0]
 
 
 def decide(dist: PredictionDist, config: DecisionConfig) -> str:

@@ -211,30 +211,27 @@ def sentence_vector(bag: FeatureBag, model: LidModel) -> np.ndarray:
     return v[0]
 
 
-def top_k(p: np.ndarray, k: int, scratch: np.ndarray | None = None) -> np.ndarray:
+def top_k(p: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k largest entries of each row of a 2-D ``p``,
     largest first; of the entries of a 1-D ``p``, its one row.
 
     Equal entries keep their column order, as in a stable sort; over
-    columns in sorted label order, ties go to the smaller label.  The
-    partition runs on a copy of ``p``: in ``scratch``, a float64 array of
-    ``p``'s 2-D shape, when one is given.
+    columns in sorted label order, ties go to the smaller label.  Each rank
+    is one argmax pass over the columns, which then sets the entry it took
+    to -inf, so ``p`` must be writeable and finite; its entries are written
+    back, bit for bit, before top_k returns.
     """
     rows = np.atleast_2d(p)
-    n = rows.shape[1]
-    k = min(k, n)
-    # only entries at least as large as their row's k-th largest can rank;
-    # ordered by (row, -value, column), each row's first k of those are the
-    # first k of its stable full sort
-    part = np.empty_like(rows) if scratch is None else scratch
-    part[...] = rows
-    part.partition(n - k, axis=1)
-    kth = part[:, n - k]
-    row, col = np.nonzero(rows >= kth[:, None])
-    order = np.lexsort((col, -rows[row, col], row))
-    row, col = row[order], col[order]
-    first = np.searchsorted(row, np.arange(len(rows)))
-    top = col[np.arange(len(row)) - first[row] < k].reshape(len(rows), k)
+    k = min(k, rows.shape[1])
+    at = np.arange(len(rows))
+    top = np.empty((len(rows), k), dtype=np.intp)
+    taken = np.empty((len(rows), k))
+    # argmax takes the first maximum, so a tie goes to the smaller column
+    for rank in range(k):
+        top[:, rank] = col = np.argmax(rows, axis=1)
+        taken[:, rank] = rows[at, col]
+        rows[at, col] = -np.inf
+    rows[at[:, None], top] = taken
     return top if p.ndim == 2 else top[0]
 
 

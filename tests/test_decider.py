@@ -228,6 +228,37 @@ def test_top_k_of_a_block_is_each_row_stable_full_sort(weights, n, k):
     assert top_k(p, k).tolist() == want
 
 
+@given(st.integers(1, 12).flatmap(
+           lambda n: st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                              min_size=1, max_size=8)),
+       st.booleans(), st.integers(1, 15))
+@example([[2, 2]], True, 3)  # one row, k > n
+@example([[0, 3, 3], [3, 3, 3]], False, 3)  # k = n, with ties across and within rows
+@example([[1, 0, 0, 1]], False, 1)  # k = 1, tied at both ends
+def test_top_k_leaves_its_input_as_it_was(weights, one_row, k):
+    p = np.array(weights, dtype=np.float64) / 3
+    if one_row:
+        p = p[0]
+    before = p.tobytes()
+    want = [sorted(range(len(row)), key=lambda i: (-row[i], i))[:k] for row in np.atleast_2d(p)]
+    got = top_k(p, k)
+    assert got.ndim == p.ndim
+    assert np.atleast_2d(got).tolist() == want
+    assert p.tobytes() == before
+
+
+def test_ranking_read_only_probabilities():
+    labels = ["aa", "bb", "cc"]
+    hierarchy = LanguageHierarchy({"cc": "zz"})
+    for decider in (Decider(tiny_model(labels), 0.3),
+                    Decider(tiny_model(labels), 0.3, {"aa", "bb", "zz"}, hierarchy)):
+        p = np.array([0.25, 0.375, 0.375])
+        frozen = p.copy()
+        frozen.setflags(write=False)
+        for k in (1, 2, 3):
+            assert hexed(decider.rank_probs(frozen, k)) == hexed(decider.rank_probs(p.copy(), k))
+
+
 def test_exact_tie_goes_to_the_smaller_label():
     labels = ["aa", "bb", "cc"]
     decider = Decider(tiny_model(labels), 0.0)
@@ -364,3 +395,32 @@ def test_a_base_set_is_taken_without_a_block_of_every_rolled_up_label():
     finally:
         tracemalloc.stop()
     assert held < LINE_BLOCK * 8 * (len(labels) + len(rolled) // 2)
+
+
+def test_ranking_more_than_one_label_holds_no_second_scope_block():
+    """top-k ranks the scope's columns in place: the first rank_batch of a
+    full block at k = 3 peaks less than a quarter of a block of the scope's
+    651 labels above the same call at k = 1."""
+    labels = tuple(f"l{i:04d}" for i in range(1601))
+    rng = np.random.default_rng(5)
+    words = (("w0", 1), ("w1", 1), ("w2", 1))
+    model = LidModel(Vocabulary(words, {"w0": 0, "w1": 1, "w2": 2}, labels),
+                     FeatureConfig(min_count=1, bucket=50, minn=2, maxn=3), TrainConfig(dim=4),
+                     rng.normal(size=(53, 4)).astype(np.float32),
+                     rng.normal(size=(len(labels), 4)).astype(np.float32))
+    hierarchy = LanguageHierarchy({labels[100 + v]: labels[v // 3] for v in range(300)})
+    rolled = sorted({hierarchy.macro_of.get(l, l) for l in labels})
+    base = rolled[::2]
+    assert len(base) == 651
+    texts = ["w0 w1 w2", "w1", "w2 w2", "w0"] * (LINE_BLOCK // 4)
+
+    def peak(k):
+        decider = Decider(model, 0.5, base, hierarchy)
+        tracemalloc.start()
+        try:
+            decider.rank_batch(texts, k)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(3) - peak(1) < LINE_BLOCK * 8 * len(base) / 4

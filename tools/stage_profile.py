@@ -18,10 +18,10 @@ rank_batch runs them:
 Each stage is printed in microseconds per line, the median over the passes,
 beside rank_batch's own time over the same input, which also holds the
 Python that turns each block into (label, probability) pairs.  A last row
-gives rank_batch at k = 1, the path of ``clean`` (``decide_batch``) and of
-``predict``'s default ``-k``, which takes the argmax where top-k
-partitions.  Staged and whole passes alternate, so that a slow spell of
-the machine shows in all of them.
+gives rank_batch at k = 1: the same ranking pass, one argmax per rank, at
+the k of ``clean`` (``decide_batch``) and of ``predict``'s default ``-k``.
+Staged and whole passes alternate, so that a slow spell of the machine
+shows in all of them.
 
 Run from the repo root:
 
@@ -79,7 +79,7 @@ def staged_pass(decider: Decider, texts: list[str], k: int) -> dict[str, float]:
             plan = decider._plan
             q = z if plan is None else plan.apply(z, out=decider._scope.rows(len(z)))
             lap("scope columns")
-            top_k(q, k, decider._scratch.rows(len(q)))
+            top_k(q, k)
             lap("top-k")
     return spent
 
