@@ -181,22 +181,22 @@ def _bag_arrays(bag: FeatureBag) -> tuple[np.ndarray, np.ndarray]:
 
 def _weighted_means(emb: np.ndarray, ids: np.ndarray, mults: np.ndarray,
                     spans: Sequence[tuple[int, int]], totals: np.ndarray,
-                    scratch: np.ndarray, out: np.ndarray) -> None:
+                    out: np.ndarray) -> None:
     """Into row r of ``out``: the multiplicity-weighted mean, in float64, of
     the rows ``ids[lo:hi]`` of ``emb`` for the r-th span (lo, hi).
 
-    Each span's rows are gathered, cast into ``scratch`` (a float64 array
-    with a row for each id of the widest span), scaled and summed one row
-    after another in the order of ``ids``.  ``out`` is then divided by
-    ``totals``, the spans' multiplicity sums: sums of integers, exact in
-    any order.  ``np.take`` cannot cast, so the float32 rows are a
-    temporary of their own.
+    Each span's sum is one einsum over its gathered float32 rows, numpy's
+    own loop and never BLAS.  For a dim of 2 or more it adds ``m * x`` into
+    each column one row after another, in the order of ``ids``, from +0.0.
+    A float32 entry times an integer multiplicity below 2^29 is exact in
+    float64, so each step rounds once, as a separate multiply and add would.
+    At dim 1 numpy drops the unit axis and sums in an unrolled order, so a
+    dim-1 vector may differ from the sequential sum in its last bits.
+    ``out`` is then divided by ``totals``, the spans' multiplicity sums:
+    sums of integers, exact in any order.
     """
     for row, (lo, hi) in enumerate(spans):
-        rows = scratch[: hi - lo]
-        rows[...] = emb.take(ids[lo:hi], axis=0)
-        rows *= mults[lo:hi, None]
-        np.add.reduce(rows, axis=0, out=out[row])
+        np.einsum("i,ij->j", mults[lo:hi], emb.take(ids[lo:hi], axis=0), out=out[row])
     out /= totals[:, None]
 
 
@@ -207,7 +207,7 @@ def sentence_vector(bag: FeatureBag, model: LidModel) -> np.ndarray:
     ids, mults = _bag_arrays(bag)
     v = np.empty((1, model.train_config.dim))
     _weighted_means(model.input_embeddings, ids, mults, [(0, len(ids))],
-                    mults.sum(keepdims=True), np.empty((len(ids), v.shape[1])), v)
+                    mults.sum(keepdims=True), v)
     return v[0]
 
 
@@ -275,9 +275,9 @@ class Scorer:
     product over the lines would move the logits' last bits.
 
     A block's sentence vectors and logits are written into buffers the
-    Scorer keeps (:class:`RowBuffer`), as is the float64 copy of each
-    line's embedding rows, so that scoring allocates no label-sized array
-    per block.  A Scorer is therefore not safe to share across threads.
+    Scorer keeps (:class:`RowBuffer`), so that scoring allocates no
+    label-sized array per block.  A Scorer is therefore not safe to share
+    across threads.
     """
 
     def __init__(self, model: LidModel):
@@ -288,9 +288,7 @@ class Scorer:
         if len(bounds) > 2 and n - bounds[-2] == 1:
             del bounds[-2]
         self._row_blocks = list(zip(bounds, bounds[1:]))
-        dim = model.train_config.dim
-        self._vectors = RowBuffer(dim)
-        self._gather = RowBuffer(dim)
+        self._vectors = RowBuffer(model.train_config.dim)
         self._z = RowBuffer(n)
 
     def iter_blocks(self, texts: Sequence[str]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -314,7 +312,6 @@ class Scorer:
         # one multiplicity sum per line with features: between two such
         # starts lie only that line's ids
         totals = np.add.reduceat(mults, batch.offsets[:-1][sizes > 0])
-        scratch = self._gather.rows(int(sizes.max(initial=0)))
         done = 0
         for start in range(0, len(sizes), LINE_BLOCK):
             bounds = batch.offsets[start : start + LINE_BLOCK + 1]
@@ -322,7 +319,7 @@ class Scorer:
             spans = [(lo, hi) for lo, hi in zip(bounds.tolist(), bounds[1:].tolist()) if lo < hi]
             v = self._vectors.rows(len(spans))
             _weighted_means(self.model.input_embeddings, batch.ids, mults, spans,
-                            totals[done : done + len(spans)], scratch, v)
+                            totals[done : done + len(spans)], v)
             done += len(spans)
             yield has, v
 

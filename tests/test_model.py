@@ -14,6 +14,7 @@ from lidkit.corpus import CorpusStats, LabeledLine
 from lidkit.errors import CorruptModel, NoFeatures, NoLabels, UnsupportedFormat
 from lidkit.features import (
     FeatureBag,
+    FeatureBatch,
     FeatureConfig,
     Vocabulary,
     build_vocab,
@@ -95,6 +96,60 @@ class TestSentenceVector:
     def test_empty_bag_raises(self):
         with pytest.raises(NoFeatures):
             sentence_vector(FeatureBag({}), toy_model())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3, 16, 256]),
+        seed=st.integers(0, 2**32 - 1),
+        specials=st.lists(
+            st.sampled_from([0.0, -0.0, 1e-45, -1e-45, 1.1754942e-38, -5.8e-39,
+                             3.4028235e38, -3.4028235e38, 3.0e38, -3.3e38])
+            | st.floats(width=32, allow_nan=False, allow_infinity=False),
+            max_size=40),
+        lines=st.lists(
+            st.lists(st.tuples(st.integers(0, 63), st.integers(1, 2**20)),
+                     max_size=40, unique_by=lambda pair: pair[0]),
+            min_size=1, max_size=6),
+    )
+    def test_scorer_sums_in_id_order_bit_for_bit(self, dim, seed, specials, lines):
+        """Each column is ``acc += count * float(x)`` from +0.0, one id after
+        another in the line's order, then divided by the count sum: the
+        exact bits, signed zeros included."""
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-45, 38, size=(64, dim))
+        table = np.clip(rng.normal(size=(64, dim)) * scale, -3.4e38, 3.4e38).astype(np.float32)
+        table.flat[rng.integers(0, table.size, size=len(specials))] = specials
+        m = toy_model(n_words=3, bucket=61, dim=dim)
+        m = LidModel(m.vocab, m.feature_config, m.train_config, table, m.output_weights)
+        ids = np.array([i for line in lines for i, _ in line], dtype=np.int64)
+        counts = np.array([c for line in lines for _, c in line], dtype=np.int64)
+        offsets = np.cumsum([0] + [len(line) for line in lines])
+        has, v = next(Scorer(m)._iter_vectors(FeatureBatch(ids, counts, offsets)))
+        assert has.tolist() == [bool(line) for line in lines]
+        want = []
+        for line in filter(None, lines):
+            acc = [0.0] * dim
+            for i, c in line:
+                for j in range(dim):
+                    acc[j] += c * float(table[i, j])
+            total = sum(c for _, c in line)
+            want.append([a / total for a in acc])
+        assert v.tobytes() == np.array(want, dtype=np.float64).reshape(-1, dim).tobytes()
+
+    def test_a_long_line_is_summed_without_a_float64_copy_of_its_rows(self):
+        """The first block of one 1,000-id line at dim 256 peaks below the
+        bytes of a float64 copy of its rows, beside the model."""
+        # one bucket: every char n-gram is the same id
+        m = toy_model(n_words=999, bucket=1, dim=256)
+        text = " ".join(w for w, _ in m.vocab.words)
+        assert len(featurize_batch([text], m.vocab, m.feature_config).ids) == 1000
+        tracemalloc.start()
+        try:
+            next(Scorer(m).iter_blocks([text]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * 256 * 8
 
 
 class TestSoftmaxAndPredict:

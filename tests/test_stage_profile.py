@@ -10,10 +10,13 @@ STAGES = ("featurize", "sentence vectors", "logits", "softmax+check", "scope col
 
 
 def test_prints_each_stage_per_line():
+    # the header names the allocator setting the figures come from
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072")
     run = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "stage_profile.py"), "--labels", "40",
          "--dim", "8", "--bucket", "500", "--macros", "4", "--lines", "300", "--passes", "2"],
-        capture_output=True, text=True, timeout=60, check=True)
+        capture_output=True, text=True, timeout=60, check=True, env=env)
+    assert run.stdout.splitlines()[0].endswith("; MALLOC_MMAP_THRESHOLD_ 131072")
     rows = dict(line.rsplit(None, 1) for line in run.stdout.splitlines()[2:])
     assert [name.strip() for name in rows] == list(STAGES)
     us = {name.strip(): float(value) for name, value in rows.items()}

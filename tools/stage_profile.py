@@ -21,7 +21,10 @@ Python that turns each block into (label, probability) pairs.  A last row
 gives rank_batch at k = 1: the same ranking pass, one argmax per rank, at
 the k of ``clean`` (``decide_batch``) and of ``predict``'s default ``-k``.
 Staged and whole passes alternate, so that a slow spell of the machine
-shows in all of them.
+shows in all of them.  The header line names the ``MALLOC_MMAP_THRESHOLD_``
+the process runs under, or "unset": the logits stage reads at one of two
+speeds that follow glibc's heap state, and a fixed threshold pins it, so
+compare figures only from the same setting.
 
 Run from the repo root:
 
@@ -32,6 +35,7 @@ Run from the repo root:
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
 import tempfile
@@ -125,7 +129,8 @@ def main(argv: list[str] | None = None) -> None:
 
     print(f"{shape.labels} labels, dim {shape.dim}, bucket {shape.bucket}, "
           f"{shape.macros} macrolanguages, {len(texts)} lines, seed {args.seed}, k {k}; "
-          f"median of {args.passes} passes")
+          f"median of {args.passes} passes; "
+          f"MALLOC_MMAP_THRESHOLD_ {os.environ.get('MALLOC_MMAP_THRESHOLD_', 'unset')}")
     print(f"{'stage':<20} {'us/line':>9}")
     total = 0.0
     for stage in STAGES:
