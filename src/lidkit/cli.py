@@ -42,7 +42,6 @@ from .errors import FormatError, InputMismatch, LidkitError
 from .evaluation import (
     EvalScope,
     confusion,
-    intersect_scope,
     reliability,
     skew_testset,
     write_calibration,
@@ -289,7 +288,7 @@ def cmd_eval(args) -> int:
                 model_labels = set(map_labels(sorted(model_labels), label_map, strict=False))
         else:
             model_labels = {l for l in pred if l != UNDETERMINED}
-        scope = intersect_scope(model_labels, model_labels, benchmark)
+        scope = EvalScope(frozenset(benchmark & model_labels))
     else:
         scope = EvalScope(frozenset(benchmark))
     write_report(sys.stdout, confusion(gold, pred, scope), scope)

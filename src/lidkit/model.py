@@ -395,20 +395,22 @@ def temperature_weights(stats: CorpusStats, alpha: float) -> dict[str, float]:
     return {l: w / norm for l, w in raw.items()}
 
 
-def _language_distribution(
-    weights: Mapping[str, float],
-) -> tuple[list[str], np.ndarray]:
-    labels = list(weights)
-    p = np.fromiter(weights.values(), dtype=np.float64, count=len(labels))
-    return labels, p / p.sum()
+def _draw_languages(
+    stats: CorpusStats, alpha: float, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """n languages drawn with temperature up-sampling, as rows of the
+    sorted labels: the draw ``train`` makes for its steps."""
+    weights = temperature_weights(stats, alpha)
+    p = np.fromiter(weights.values(), dtype=np.float64, count=len(weights))
+    return rng.choice(len(p), size=n, p=p / p.sum())
 
 
 def sample_languages(
     stats: CorpusStats, alpha: float, n: int, rng: np.random.Generator
 ) -> list[str]:
     """Draw n training languages with temperature up-sampling."""
-    labels, p = _language_distribution(temperature_weights(stats, alpha))
-    return [labels[i] for i in rng.choice(len(labels), size=n, p=p)]
+    labels = sorted(stats.per_label_counts)
+    return [labels[i] for i in _draw_languages(stats, alpha, n, rng)]
 
 
 def example_loss_and_grads(
@@ -439,9 +441,7 @@ def _loss_and_grads(
     for bag weights that already sum to one: the training step.  The loss
     floors p at 1e-30, so only non-finite weights make it non-finite."""
     v = rows.T @ weights
-    logits = out @ v
-    e = np.exp(logits - logits.max())
-    p = e / e.sum()
+    p = _softmax_in_place(out @ v)
     loss = -math.log(max(float(p[gold]), 1e-30))
     p[gold] -= 1.0  # now the logit gradient
     dv = out.T @ p
@@ -457,26 +457,24 @@ TABLE_DRAW = 1 << 16
 
 
 def _draw_examples(
-    rng: np.random.Generator, lang_p: np.ndarray, order: np.ndarray,
-    pool_sizes: np.ndarray, total_steps: int,
+    rng: np.random.Generator, langs: np.ndarray, order: np.ndarray,
+    pool_sizes: np.ndarray,
 ) -> Iterator[int | list[int]]:
     """What each training step is handed: its example's entry of ``order``,
     as a Python int, or a list of them where ``order`` is 2-D.
 
     ``order`` lists the examples by language row, stably, and ``pool_sizes``
-    holds the length of each language's run of it.  Each step draws a
-    language with probabilities ``lang_p``, then a uniform example of it.
-    The languages of the whole run are drawn at once; the in-pool draws are
-    made DRAW_CHUNK steps at a time, and are those of one
-    ``rng.integers(0, pool_size)`` call per step whatever the chunk size: a
-    bounded ``integers`` draw over an array of bounds takes, per element,
-    what one call with that bound does.
+    holds the length of each language's run of it.  Step i draws a uniform
+    example of language row ``langs[i]``.  The draws are made DRAW_CHUNK
+    steps at a time, and are those of one ``rng.integers(0, pool_size)``
+    call per step whatever the chunk size: a bounded ``integers`` draw over
+    an array of bounds takes, per element, what one call with that bound
+    does.
     """
-    lang_seq = rng.choice(len(pool_sizes), size=total_steps, p=lang_p)
     starts = np.cumsum(pool_sizes) - pool_sizes
-    for lo in range(0, total_steps, DRAW_CHUNK):
-        langs = lang_seq[lo : lo + DRAW_CHUNK]
-        yield from order[starts[langs] + rng.integers(0, pool_sizes[langs])].tolist()
+    for lo in range(0, len(langs), DRAW_CHUNK):
+        chunk = langs[lo : lo + DRAW_CHUNK]
+        yield from order[starts[chunk] + rng.integers(0, pool_sizes[chunk])].tolist()
 
 
 def _uniform_table(rng: np.random.Generator, shape: tuple[int, int],
@@ -582,8 +580,6 @@ def train(
     counts = np.bincount(examples[:, 2], minlength=len(vocab.labels))
     drawn = np.flatnonzero(counts)  # label rows with examples, in label order
     stats = CorpusStats({vocab.labels[r]: int(counts[r]) for r in drawn}, len(examples))
-    lang_weights = temperature_weights(stats, train_config.inv_temperature)
-    lang_p = _language_distribution(lang_weights)[1]
     # the examples of each drawn label form one pool, in corpus order
     examples = examples[np.argsort(examples[:, 2], kind="stable")]
 
@@ -599,8 +595,10 @@ def train(
 
     steps_per_epoch = len(examples)
     total_steps = train_config.epochs * steps_per_epoch
-    # each step is handed its example's (lo, hi, gold) as Python ints
-    draws = _draw_examples(rng, lang_p, examples, counts[drawn], total_steps)
+    # the whole run's languages, drawn right after the table; each step is
+    # then handed its example's (lo, hi, gold) as Python ints
+    langs = _draw_languages(stats, train_config.inv_temperature, total_steps, rng)
+    draws = _draw_examples(rng, langs, examples, counts[drawn])
     lr0 = train_config.lr
 
     # a diverging run overflows before its loss turns non-finite; the check
@@ -649,9 +647,6 @@ _CONFIG_FIELDS: dict[type, tuple[tuple[str, str], ...]] = {
                   ("inv_temperature", "d"), ("seed", "Q")),
 }
 
-# matrix bytes read or written, and checksummed, per call
-_IO_CHUNK = 16 << 20
-
 
 class _Reader:
     """Bounds-checked reader over an open model file that keeps the CRC32 of
@@ -686,12 +681,10 @@ class _Reader:
         """A little-endian f32 matrix, read straight into an array it owns."""
         out = np.empty((rows, cols), dtype="<f4")
         view = memoryview(out.reshape(-1).view(np.uint8))
-        for start in range(0, len(view), _IO_CHUNK):
-            chunk = view[start : start + _IO_CHUNK]
-            if len(chunk) > self.left or self.fh.readinto(chunk) != len(chunk):
-                raise CorruptModel("unexpected end of model file")
-            self.left -= len(chunk)
-            self.crc = zlib.crc32(chunk, self.crc)
+        if len(view) > self.left or self.fh.readinto(view) != len(view):
+            raise CorruptModel("unexpected end of model file")
+        self.left -= len(view)
+        self.crc = zlib.crc32(view, self.crc)
         return out
 
 
@@ -730,10 +723,10 @@ def save_model(model: LidModel, path: str) -> None:
 def _write_model(model: LidModel, fh: BinaryIO) -> None:
     crc = 0
 
-    def emit(chunk: bytes | memoryview) -> None:
+    def emit(data: bytes | memoryview) -> None:
         nonlocal crc
-        crc = zlib.crc32(chunk, crc)
-        fh.write(chunk)
+        crc = zlib.crc32(data, crc)
+        fh.write(data)
 
     emit(MODEL_MAGIC)
     emit(struct.pack("<I", MODEL_FORMAT_VERSION))
@@ -748,10 +741,8 @@ def _write_model(model: LidModel, fh: BinaryIO) -> None:
     for word, freq in model.vocab.words:
         emit(_pack_str(word) + struct.pack("<Q", freq))
     for matrix in (model.input_embeddings, model.output_weights):
-        # chunks of a view of the matrix, not a copy of its bytes
-        view = memoryview(np.ascontiguousarray(matrix, dtype="<f4").reshape(-1).view(np.uint8))
-        for start in range(0, len(view), _IO_CHUNK):
-            emit(view[start : start + _IO_CHUNK])
+        # a byte view of the matrix, not a copy of its bytes
+        emit(memoryview(np.ascontiguousarray(matrix, dtype="<f4").reshape(-1).view(np.uint8)))
     fh.write(struct.pack("<I", crc))
 
 
@@ -760,8 +751,8 @@ def load_model(path: str) -> LidModel:
 
     Raises UnsupportedFormat for wrong magic or unknown versions, and
     CorruptModel for truncation, sizes that do not fit the file or checksum
-    failure — never a partially constructed model.  The matrices are read
-    in chunks straight into the arrays the model owns, with a running CRC.
+    failure — never a partially constructed model.  Each matrix is read
+    in one call straight into the array the model owns, with a running CRC.
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())

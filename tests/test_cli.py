@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -82,7 +83,7 @@ class TestTrain:
         assert main([*args, "-output", a]) == 0
         assert main([*args, "-output", b]) == 0
         capsys.readouterr()
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_missing_corpus_is_io_error(self, tmp_path, capsys):
         rc, _, err = run(
@@ -115,7 +116,7 @@ class TestTrain:
 
     def test_lines_of_labels_below_min_count_label_are_skipped(self, workdir, tmp_path, capsys):
         corpus = tmp_path / "rare.txt"
-        text = open(workdir["corpus"], encoding="utf-8").read()
+        text = Path(workdir["corpus"]).read_text(encoding="utf-8")
         corpus.write_text(text + "__label__zzz one rare line\n", encoding="utf-8")
         out = tmp_path / "m.bin"
         rc, _, err = run(
@@ -362,7 +363,7 @@ class TestPredict:
         assert rc == 1
 
     def test_corrupt_model_is_data_error(self, workdir, tmp_path, capsys):
-        blob = bytearray(open(workdir["strong"], "rb").read())
+        blob = bytearray(Path(workdir["strong"]).read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         bad = tmp_path / "bad.bin"
         bad.write_bytes(bytes(blob))
@@ -408,7 +409,8 @@ class TestClean:
             assert counts[name.removesuffix(".txt")] == len(lines)
             routed.extend(lines)
         assert sorted(routed) == sorted(texts)
-        assert "" in [l.rstrip("\n") for l in open(out_dir / "und.txt")]
+        with open(out_dir / "und.txt") as fh:
+            assert "" in [l.rstrip("\n") for l in fh]
 
     def test_impossible_theta_routes_everything_to_und(self, workdir, tmp_path, capsys):
         sentences = tmp_path / "in.txt"
@@ -624,6 +626,24 @@ class TestEval:
         )
         assert rc == 0
         assert [l.split("\t")[0] for l in out.splitlines()[1:]] == ["aa", "__macro__"]
+
+    @pytest.mark.parametrize("pred_labels, model_labels", [
+        (["und", "und"], None),  # all abstentions: no model label seen
+        (["aa", "bb"], ""),  # an empty -model-labels file
+        (["cc", "cc"], None),  # predictions disjoint from the gold labels
+    ])
+    def test_empty_known_scope_is_data_error(self, tmp_path, capsys, pred_labels,
+                                             model_labels):
+        gold = self.write(tmp_path, "gold.txt", ["aa", "bb"])
+        pred = self.write(tmp_path, "pred.txt", pred_labels)
+        argv = ["eval", "-gold", gold, "-pred", pred, "-scenario", "set-known"]
+        if model_labels is not None:
+            labels = tmp_path / "labels.txt"
+            labels.write_text(model_labels, encoding="utf-8")
+            argv += ["-model-labels", str(labels)]
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ")  # a data error, not "invalid value"
 
     def test_skew_replicates_gold_rows(self, tmp_path, capsys):
         gold = self.write(tmp_path, "gold.txt", ["aa", "aa", "bb"])

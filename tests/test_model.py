@@ -1,6 +1,7 @@
 import os
 import random
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -414,8 +415,9 @@ class TestStepDraws:
         want, want_state = self.whole_draws(seed, p, sizes, total)
         monkeypatch.setattr(lidkit.model, "DRAW_CHUNK", chunk)
         rng = np.random.default_rng(seed)
+        langs = rng.choice(len(sizes), size=total, p=p)
         # the identity order, so each draw is its position in the pools
-        got = list(_draw_examples(rng, p, np.arange(sizes.sum()), sizes, total))
+        got = list(_draw_examples(rng, langs, np.arange(sizes.sum()), sizes))
         assert got == want
         assert rng.bit_generator.state == want_state
 
@@ -450,7 +452,7 @@ class TestTrain:
         a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
         save_model(train(corpus, fc, tc), a)
         save_model(train(corpus, fc, tc), b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_draw_chunk_size_leaves_the_model_bytes_alone(self, tmp_path, monkeypatch):
         # three unbalanced languages: 50, 30 and 10 lines
@@ -656,7 +658,13 @@ class TestFiniteWeights:
             tracemalloc.stop()
         assert built < 1 << 20
         path = str(tmp_path / "m.bin")
-        save_model(model, path)
+        tracemalloc.start()
+        try:
+            save_model(model, path)
+            saved = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert saved < 1 << 20
         del model, emb
         tracemalloc.start()
         try:
@@ -811,14 +819,13 @@ class TestSerialization:
         path.chmod(0o640)
         written, temporaries = [0], []
 
-        def crc32(data, value=0):  # fails halfway through the matrices
+        def crc32(data, value=0):  # fails past half the file, in the first matrix
             written[0] += len(data)
             if written[0] > len(ref) // 2:
                 temporaries.extend(p.name for p in tmp_path.iterdir() if p.name != "ref")
                 raise OSError("no space left on device")
             return zlib.crc32(data, value)
 
-        monkeypatch.setattr(lidkit.model, "_IO_CHUNK", 64)
         monkeypatch.setattr(lidkit.model, "zlib", types.SimpleNamespace(crc32=crc32))
         with pytest.raises(OSError, match="no space"):
             save_model(model, str(path))
