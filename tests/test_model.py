@@ -30,6 +30,7 @@ from lidkit.model import (
     _bag_arrays,
     _check_finite,
     _draw_examples,
+    _softmax_in_place,
     example_loss_and_grads,
     load_model,
     predict,
@@ -206,6 +207,15 @@ class TestSoftmaxAndPredict:
         with pytest.raises(ValueError):
             predict(toy_model(), "w0", k=0)
 
+    @pytest.mark.parametrize("shape, dtype", [((20,), np.float32), ((256, 1600), np.float64)])
+    def test_in_place_softmax_has_the_bits_of_the_ndarray_reductions(self, shape, dtype):
+        z = (np.random.default_rng(2).standard_normal(shape) * 10).astype(dtype)
+        want = z - z.max(axis=-1, keepdims=True)
+        np.exp(want, out=want)
+        want /= want.sum(axis=-1, keepdims=True)
+        got = _softmax_in_place(z.copy())
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert got.shape == want.shape
@@ -292,6 +302,42 @@ class TestBlockedScorer:
             got = np.concatenate([p for _, p in blocks])
             want = np.array([oracle(t) for t, h in zip(texts, has) if h]).reshape(-1, 130)
             assert_same_bits(got, want)
+
+
+class TestAlignedLayers:
+    """The Scorer's float64 output layer and the training table start on a
+    64-byte boundary, whichever block the allocator hands out."""
+
+    # 96 bytes come from glibc's heap; 200 KiB is above its default 128 KiB
+    # mmap threshold, and a block it maps starts 16 bytes past a page
+    @pytest.mark.parametrize("n_labels, dim", [(3, 4), (200, 128)])
+    def test_scorer_output_layer(self, n_labels, dim):
+        m = toy_model(labels=tuple(f"l{i:03d}" for i in range(n_labels)), dim=dim)
+        scorer = Scorer(m)
+        assert scorer._out.ctypes.data % 64 == 0
+        assert scorer._out.tobytes() == m.output_weights.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("bucket, dim", [(10, 2), (5000, 16)])
+    def test_training_table(self, bucket, dim):
+        corpus = synthetic_corpus(n_langs=2, lines_per_lang=20, seed=3)
+        m = train(corpus, FeatureConfig(min_count=1, bucket=bucket), TrainConfig(dim=dim, epochs=1))
+        assert m.input_embeddings.ctypes.data % 64 == 0
+        assert m.input_embeddings.flags.c_contiguous and m.input_embeddings.flags.writeable
+
+    def test_logits_equal_those_of_an_unaligned_layer_bit_for_bit(self):
+        m = toy_model(labels=tuple(f"l{i:04d}" for i in range(1601)), dim=256, seed=11)
+        scorer = Scorer(m)
+        raw = np.empty(scorer._out.nbytes + 128, dtype=np.uint8)
+        start = -raw.ctypes.data % 64 + 16
+        unaligned = raw[start : start + scorer._out.nbytes].view(np.float64)
+        unaligned = unaligned.reshape(scorer._out.shape)
+        unaligned[...] = m.output_weights
+        assert unaligned.ctypes.data % 64 == 16
+        v = np.random.default_rng(11).standard_normal((300, 256))
+        want = np.empty((300, 1601))
+        for r0, r1 in scorer._row_blocks:
+            np.matmul(unaligned[r0:r1], v[:, :, None], out=want[:, r0:r1, None])
+        assert_same_bits(scorer._logits(v), want)
 
 
 class TestTemperatureWeights:
@@ -762,6 +808,41 @@ class TestSerialization:
         blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptModel, match="bad string"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("edit, message", [
+        ("bad_utf8", "bad string in model file"),
+        ("long_word", "unexpected end of model file"),
+        ("extra_word", "unexpected end of model file"),
+        ("missing_word", "trailing bytes in model file"),
+        ("extra_byte", "trailing bytes in model file"),
+    ])
+    def test_a_bad_word_table_is_corrupt_under_a_valid_checksum(self, tmp_path, edit, message):
+        import struct
+        import zlib
+
+        path = tmp_path / "m.bin"
+        save_model(toy_model(), str(path))  # words w0, w1, w2, each of frequency 10
+        blob = bytearray(path.read_bytes())
+
+        def at(word):
+            record = struct.pack("<I", 2) + word + struct.pack("<Q", 10)
+            assert blob.count(record) == 1
+            return blob.index(record)
+
+        count = at(b"w0") - 8
+        assert struct.unpack_from("<Q", blob, count) == (3,)
+        if edit == "bad_utf8":
+            blob[at(b"w1") + 4 : at(b"w1") + 6] = b"\xff\xfe"
+        elif edit == "long_word":
+            struct.pack_into("<I", blob, at(b"w2"), 200)
+        elif edit in ("extra_word", "missing_word"):
+            struct.pack_into("<Q", blob, count, 4 if edit == "extra_word" else 2)
+        else:
+            blob.insert(at(b"w2") + 14, 0)
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptModel, match=f"^{message}"):
             load_model(str(path))
 
     def test_loaded_arrays_own_their_data(self, tmp_path):

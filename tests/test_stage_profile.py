@@ -16,7 +16,10 @@ def test_prints_each_stage_per_line():
         [sys.executable, os.path.join(ROOT, "tools", "stage_profile.py"), "--labels", "40",
          "--dim", "8", "--bucket", "500", "--macros", "4", "--lines", "300", "--passes", "2"],
         capture_output=True, text=True, timeout=60, check=True, env=env)
-    assert run.stdout.splitlines()[0].endswith("; MALLOC_MMAP_THRESHOLD_ 131072")
+    header = run.stdout.splitlines()[0]
+    assert header.endswith("; MALLOC_MMAP_THRESHOLD_ 131072")
+    # and where the Scorer's output layer starts, which gemv's speed follows
+    assert "; output layer at 0 mod 64; " in header
     rows = dict(line.rsplit(None, 1) for line in run.stdout.splitlines()[2:])
     assert [name.strip() for name in rows] == list(STAGES)
     us = {name.strip(): float(value) for name, value in rows.items()}

@@ -21,10 +21,17 @@ Python that turns each block into (label, probability) pairs.  A last row
 gives rank_batch at k = 1: the same ranking pass, one argmax per rank, at
 the k of ``clean`` (``decide_batch``) and of ``predict``'s default ``-k``.
 Staged and whole passes alternate, so that a slow spell of the machine
-shows in all of them.  The header line names the ``MALLOC_MMAP_THRESHOLD_``
-the process runs under, or "unset": the logits stage reads at one of two
-speeds that follow glibc's heap state, and a fixed threshold pins it, so
-compare figures only from the same setting.
+shows in all of them.
+
+The header line gives the address of the Scorer's float64 output layer mod
+64, which should read 0.  The logits stage is OpenBLAS's gemv over that
+layer, and at predict-wide's shape it was measured at about 54 us/line
+when the layer starts 16 or 48 bytes past a 64-byte boundary, where glibc
+puts a block it serves by mmap, against about 39 at 0 or 32, with the
+same bits; the Scorer aligns the layer so.  The header also names the
+``MALLOC_MMAP_THRESHOLD_`` the process runs under, or "unset": the page
+faults of featurize follow glibc's heap thresholds, so compare its figures
+only from the same setting.
 
 Run from the repo root:
 
@@ -130,6 +137,7 @@ def main(argv: list[str] | None = None) -> None:
     print(f"{shape.labels} labels, dim {shape.dim}, bucket {shape.bucket}, "
           f"{shape.macros} macrolanguages, {len(texts)} lines, seed {args.seed}, k {k}; "
           f"median of {args.passes} passes; "
+          f"output layer at {decider._scorer._out.ctypes.data % 64} mod 64; "
           f"MALLOC_MMAP_THRESHOLD_ {os.environ.get('MALLOC_MMAP_THRESHOLD_', 'unset')}")
     print(f"{'stage':<20} {'us/line':>9}")
     total = 0.0
