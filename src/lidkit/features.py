@@ -26,8 +26,9 @@ from .errors import NoLabels
 _FNV_BASIS = 2166136261
 _FNV_PRIME = 16777619
 
-# sentences featurized together by predict, clean and train setup: enough to
-# share the per-batch numpy work, few enough to keep the batch's arrays small
+# sentences train setup featurizes together (enough to share the per-batch
+# numpy work, few enough to keep the batch's arrays small), and lines predict
+# and clean read per chunk; scoring featurizes model.LINE_BLOCK at a time
 BATCH_LINES = 1024
 
 

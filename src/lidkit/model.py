@@ -312,32 +312,29 @@ class Scorer:
         features (a boolean array), and the checked softmax probabilities
         of those, one row each, in the model's label order.
 
-        The texts are featurized as one batch.  The probabilities are a
-        view of the Scorer's buffer, valid until it scores its next block:
-        a caller that keeps them copies them.
+        Each block is featurized on its own.  The probabilities are a view
+        of the Scorer's buffer, valid until it scores its next block: a
+        caller that keeps them copies them.
         """
-        batch = featurize_batch(texts, self.model.vocab, self.model.feature_config)
-        for has, v in self._iter_vectors(batch):
+        for start in range(0, len(texts), LINE_BLOCK):
+            batch = featurize_batch(texts[start : start + LINE_BLOCK], self.model.vocab,
+                                    self.model.feature_config)
+            has, v = self._block_vectors(batch)
             yield has, self._probs(v)
 
-    def _iter_vectors(self, batch: FeatureBatch) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Per block of up to LINE_BLOCK lines of ``batch``: which of them
-        have features, and the sentence vectors of those, one row each."""
+    def _block_vectors(self, batch: FeatureBatch) -> tuple[np.ndarray, np.ndarray]:
+        """Which lines of one block's ``batch`` have features, and the
+        sentence vectors of those, one row each, in the Scorer's buffer."""
         mults = batch.counts.astype(np.float64)
-        sizes = np.diff(batch.offsets)
+        has = batch.offsets[1:] > batch.offsets[:-1]
+        starts = batch.offsets[:-1][has]
+        spans = list(zip(starts.tolist(), batch.offsets[1:][has].tolist()))
+        v = self._vectors.rows(len(spans))
         # one multiplicity sum per line with features: between two such
         # starts lie only that line's ids
-        totals = np.add.reduceat(mults, batch.offsets[:-1][sizes > 0])
-        done = 0
-        for start in range(0, len(sizes), LINE_BLOCK):
-            bounds = batch.offsets[start : start + LINE_BLOCK + 1]
-            has = bounds[1:] > bounds[:-1]
-            spans = [(lo, hi) for lo, hi in zip(bounds.tolist(), bounds[1:].tolist()) if lo < hi]
-            v = self._vectors.rows(len(spans))
-            _weighted_means(self.model.input_embeddings, batch.ids, mults, spans,
-                            totals[done : done + len(spans)], v)
-            done += len(spans)
-            yield has, v
+        _weighted_means(self.model.input_embeddings, batch.ids, mults, spans,
+                        np.add.reduceat(mults, starts), v)
+        return has, v
 
     def _logits(self, v: np.ndarray) -> np.ndarray:
         """The logits of the sentence vectors ``v``, one row each, in the

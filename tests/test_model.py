@@ -126,7 +126,7 @@ class TestSentenceVector:
         ids = np.array([i for line in lines for i, _ in line], dtype=np.int64)
         counts = np.array([c for line in lines for _, c in line], dtype=np.int64)
         offsets = np.cumsum([0] + [len(line) for line in lines])
-        has, v = next(Scorer(m)._iter_vectors(FeatureBatch(ids, counts, offsets)))
+        has, v = Scorer(m)._block_vectors(FeatureBatch(ids, counts, offsets))
         assert has.tolist() == [bool(line) for line in lines]
         want = []
         for line in filter(None, lines):
@@ -263,6 +263,27 @@ class TestBlockedScorer:
         second = scorer.probs("w2 zz w2")
         assert_same_bits(first, kept)
         assert not np.shares_memory(first, second)
+
+    def test_a_call_holds_the_features_of_one_block_at_a_time(self):
+        """Four blocks of long lines peak near one block under tracemalloc:
+        each block is featurized on its own, not the whole call's texts."""
+        rng = random.Random(3)
+        block = lidkit.model.LINE_BLOCK
+        texts = [" ".join("".join(rng.choices("abcdefghijklmnop", k=8)) for _ in range(30))
+                 for _ in range(4 * block)]
+        scorer = Scorer(toy_model(bucket=5000, seed=2))
+
+        def peak(lines):
+            tracemalloc.start()
+            try:
+                for _ in scorer.iter_blocks(lines):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(texts[:block])
+        assert peak(texts) < 1.25 * one
 
     def test_blocks_match_an_independent_oracle(self):
         """Blocks of texts against a mean, ``out @ v`` and softmax per text,

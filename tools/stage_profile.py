@@ -4,10 +4,10 @@
 Generates the benchmark's predict-wide model, hierarchy, base set and input
 (``perfbench/gen.py``, at the shape given) in a temporary directory, loads
 them as ``lidkit predict`` does, and runs rank_batch's stages one after
-another over the input, BATCH_LINES lines per batch and block by block as
-rank_batch runs them:
+another over the input, block by block as rank_batch runs them, each block
+of LINE_BLOCK lines featurized and scored on its own:
 
-    featurize             featurize_batch of a batch
+    featurize             featurize_batch of a block
     sentence vectors      the block's weighted means of embedding rows
     logits                the row-blocked products with the output layer
     softmax+check         the in-place softmax and the distribution check
@@ -17,7 +17,8 @@ rank_batch runs them:
 
 Each stage is printed in microseconds per line, the median over the passes,
 beside rank_batch's own time over the same input, which also holds the
-Python that turns each block into (label, probability) pairs.  A last row
+Python that turns each block into (label, probability) pairs; it is handed
+the input BATCH_LINES lines at a time, as the CLI reads it.  A last row
 gives rank_batch at k = 1: the same ranking pass, one argmax per rank, at
 the k of ``clean`` (``decide_batch``) and of ``predict``'s default ``-k``.
 Staged and whole passes alternate, so that a slow spell of the machine
@@ -55,13 +56,9 @@ sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 import gen  # noqa: E402
 from lidkit.decision import Decider, load_hierarchy, load_label_set  # noqa: E402
 from lidkit.features import BATCH_LINES, featurize_batch  # noqa: E402
-from lidkit.model import _softmax_in_place, check_probs, load_model, top_k  # noqa: E402
+from lidkit.model import LINE_BLOCK, _softmax_in_place, check_probs, load_model, top_k  # noqa: E402
 
 STAGES = ("featurize", "sentence vectors", "logits", "softmax+check", "scope columns", "top-k")
-
-
-def _batches(texts: list[str]) -> list[list[str]]:
-    return [texts[i : i + BATCH_LINES] for i in range(0, len(texts), BATCH_LINES)]
 
 
 def staged_pass(decider: Decider, texts: list[str], k: int) -> dict[str, float]:
@@ -77,29 +74,30 @@ def staged_pass(decider: Decider, texts: list[str], k: int) -> dict[str, float]:
         spent[stage] += now - mark
         mark = now
 
-    for batch_texts in _batches(texts):
-        batch = featurize_batch(batch_texts, model.vocab, model.feature_config)
+    for start in range(0, len(texts), LINE_BLOCK):
+        batch = featurize_batch(texts[start : start + LINE_BLOCK], model.vocab,
+                                model.feature_config)
         lap("featurize")
-        for _, v in scorer._iter_vectors(batch):
-            lap("sentence vectors")
-            z = scorer._logits(v)
-            lap("logits")
-            _softmax_in_place(z)
-            check_probs(z, model.labels)
-            lap("softmax+check")
-            plan = decider._plan
-            q = z if plan is None else plan.apply(z, out=decider._scope.rows(len(z)))
-            lap("scope columns")
-            top_k(q, k)
-            lap("top-k")
+        _, v = scorer._block_vectors(batch)
+        lap("sentence vectors")
+        z = scorer._logits(v)
+        lap("logits")
+        _softmax_in_place(z)
+        check_probs(z, model.labels)
+        lap("softmax+check")
+        plan = decider._plan
+        q = z if plan is None else plan.apply(z, out=decider._scope.rows(len(z)))
+        lap("scope columns")
+        top_k(q, k)
+        lap("top-k")
     return spent
 
 
 def rank_batch_pass(decider: Decider, texts: list[str], k: int) -> float:
     """Seconds rank_batch takes over ``texts``."""
     start = time.perf_counter()
-    for batch_texts in _batches(texts):
-        decider.rank_batch(batch_texts, k)
+    for i in range(0, len(texts), BATCH_LINES):
+        decider.rank_batch(texts[i : i + BATCH_LINES], k)
     return time.perf_counter() - start
 
 
