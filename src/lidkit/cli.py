@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import io
 import itertools
 import json
 import os
@@ -98,15 +99,18 @@ def _check_theta(theta: float) -> float:
 def _serve(args, decider: Decider) -> Iterator[Iterator[list[str]]]:
     """The serve loop of `predict` and `clean` around their per-chunk work.
 
-    Yields the lines of ``-input`` (else stdin), BATCH_LINES at a time; in
-    both a line ends at ``\n``, which is stripped.  It closes the input,
-    never stdin, however the body ends.  When the body ends normally and
-    ``-stats`` is set, it writes one JSON line on stderr: what ``decider``
-    read and decided and at what rate, timed from opening the input to the
-    end of the body.
+    Yields the lines of ``-input`` (else stdin), BATCH_LINES at a time; both
+    are decoded as strict UTF-8, whatever the locale, and in both a line
+    ends at ``\n``, which is stripped.  It closes the input, never stdin,
+    however the body ends.  When the body ends normally and ``-stats`` is
+    set, it writes one JSON line on stderr: what ``decider`` read and
+    decided and at what rate, timed from opening the input to the end of
+    the body.
     """
     start = time.perf_counter()
     stream = open(args.input, encoding="utf-8", newline="\n") if args.input else sys.stdin
+    if stream is sys.stdin and isinstance(stream, io.TextIOWrapper):
+        stream.reconfigure(encoding="utf-8", errors="strict", newline="\n")
     try:
         lines = (raw.rstrip("\n") for raw in stream)
         yield iter(lambda: list(itertools.islice(lines, BATCH_LINES)), [])

@@ -256,13 +256,11 @@ class Decider:
         """Each line's label, or Undetermined: :meth:`rank_batch` with k = 1."""
         return [pairs[0][0] for pairs in self.rank_batch(texts, 1)]
 
-    def rank(self, text: str, k: int) -> list[tuple[str, float]]:
-        """:meth:`rank_batch` of one line."""
-        return self.rank_batch([text], k)[0]
-
     def rank_probs(self, p: np.ndarray, k: int) -> list[tuple[str, float]]:
-        """:meth:`rank` for the model's probabilities ``p``, in label order;
-        it ranks a copy, as ranking writes into what it ranks."""
+        """One line's :meth:`rank_batch` pairs for the model's probabilities
+        ``p``, in label order; it ranks a copy, as ranking writes into what
+        it ranks.  It is the one entry that ranks a given distribution: the
+        oracle tests use it for exact ties, which no text produces."""
         _check_k(k)
         return self._rank_rows(np.array(p, dtype=np.float64)[None], k)[0]
 

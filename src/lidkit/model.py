@@ -37,6 +37,7 @@ from .features import (
     FeatureConfig,
     Vocabulary,
     build_vocab,
+    featurize,
     featurize_batch,
 )
 
@@ -351,24 +352,18 @@ class Scorer:
         check_probs(p, self.model.labels)
         return p
 
-    def probs(self, text: str) -> np.ndarray:
-        """The probabilities of one text, a block of one, in an array of its
-        own; NoFeatures when it has no features."""
-        has, p = next(self.iter_blocks([text]))
-        if not has[0]:
-            raise NoFeatures(f"no features in {text!r}")
-        return p[0].copy()
-
 
 def predict_dist(model: LidModel, text: str) -> PredictionDist:
-    """Full probability distribution for a sentence.
+    """Full probability distribution for a sentence: the :func:`softmax`
+    of the output layer times its :func:`sentence_vector`.
 
     Raises NoFeatures when the sentence yields an empty bag (callers that
     want a total function should map that to the Undetermined sentinel,
     as :func:`predict` does).  To score many sentences, keep one
-    :class:`Scorer` and pass them to :meth:`Scorer.iter_blocks` in batches.
+    :class:`~lidkit.decision.Decider` and pass them to it in batches.
     """
-    p = Scorer(model).probs(text)
+    bag = featurize(text, model.vocab, model.feature_config)
+    p = softmax(model.output_weights @ sentence_vector(bag, model))
     return PredictionDist(dict(zip(model.labels, p.tolist())))
 
 
@@ -384,10 +379,11 @@ def predict(model: LidModel, text: str, k: int = 1) -> list[tuple[str, float]]:
     with no features returns ``[(UNDETERMINED, 1.0)]``.
     """
     _check_k(k)
-    try:
-        p = Scorer(model).probs(text)
-    except NoFeatures:
+    bag = featurize(text, model.vocab, model.feature_config)
+    if not bag:
         return [(UNDETERMINED, 1.0)]
+    p = softmax(model.output_weights @ sentence_vector(bag, model))
+    check_probs(p, model.labels)
     return [(model.labels[i], float(p[i])) for i in top_k(p, k)]
 
 

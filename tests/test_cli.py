@@ -3,12 +3,14 @@ import json
 import os
 import random
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import lidkit
 from lidkit.cli import _TRAIN_FLAGS, main
 from lidkit.features import FeatureConfig
 from lidkit.model import TrainConfig, load_model, save_model
@@ -507,6 +509,39 @@ class TestServeLoop:
         (_, clean_stats), files = routed["file"]
         assert clean_stats == stats
         assert "und.txt" in files and len(files) > 1
+
+    def cli(self, argv, stdin, **env):
+        """The CLI in a child process whose stdin is the bytes ``stdin``,
+        with ``env`` over the environment and no PYTHONIOENCODING of it."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lidkit.__file__)))
+        base = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        base.pop("PYTHONIOENCODING", None)
+        return subprocess.run([sys.executable, "-m", "lidkit.cli", *argv], input=stdin,
+                              env={**base, **env}, capture_output=True, timeout=60)
+
+    @pytest.mark.parametrize("command", ["predict", "clean"])
+    def test_bytes_that_are_not_utf8_on_stdin_are_a_data_error(self, workdir, tmp_path,
+                                                              command):
+        argv = [command, "-model", workdir["strong"]]
+        if command == "clean":
+            argv += ["-out-dir", str(tmp_path / "routed")]
+        run = self.cli(argv, b"hello\n\xff\xfe bad\n", LC_ALL="C")
+        assert run.returncode == 2
+        assert run.stderr.decode().startswith("data error:")
+
+    def test_stdin_is_read_as_utf8_whatever_the_io_encoding(self, workdir, tmp_path):
+        rows = corpus_rows(workdir["corpus"])
+        text = "".join(t + "\n" for _, t in rows[::40]) + "h\u00e9llo w\u00f6rld\nb\u00f6njour\n"
+        sentences = tmp_path / "in.txt"
+        sentences.write_text(text, encoding="utf-8")
+        argv = ["predict", "-model", workdir["strong"], "-k", "2"]
+        piped, named = (self.cli(argv + extra, stdin, PYTHONIOENCODING="latin-1")
+                        for extra, stdin in (([], text.encode()),
+                                             (["-input", str(sentences)], b"")))
+        assert piped.returncode == named.returncode == 0
+        assert len(piped.stdout.splitlines()) == text.count("\n")
+        assert piped.stdout == named.stdout
 
     @pytest.mark.parametrize("label", ["b/c", "b\x00c", pytest.param(LONG_LABEL, id="b*300")])
     def test_unsafe_label_is_a_data_error_that_closes_every_file(

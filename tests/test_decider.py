@@ -292,7 +292,7 @@ def test_scope_is_the_rolled_up_labels_in_the_base_set():
 def test_counts_lines_without_features_as_undetermined():
     labels = ["aa", "bb"]
     decider = Decider(tiny_model(labels), 0.0)
-    assert decider.rank("", 2) == [(UNDETERMINED, 1.0)]
+    assert decider.rank_batch([""], 2)[0] == [(UNDETERMINED, 1.0)]
     assert decider.decide_batch(["   "]) == [UNDETERMINED]
     assert (decider.lines, decider.no_feature, decider.und) == (2, 2, 2)
 
@@ -301,7 +301,8 @@ def test_counts_lines_without_features_as_undetermined():
 def test_k_below_one_is_rejected_before_any_line_is_counted(k):
     labels = ["aa", "bb"]
     decider = Decider(tiny_model(labels), 0.0)
-    for call in (lambda: decider.rank_batch(["", "x"], k), lambda: decider.rank("x", k),
+    for call in (lambda: decider.rank_batch(["", "x"], k),
+                 lambda: decider.rank_batch(["x"], k)[0],
                  lambda: decider.rank_probs(np.array([0.5, 0.5]), k)):
         with pytest.raises(ValueError, match="k must be >= 1"):
             call()
@@ -321,7 +322,8 @@ def test_batches_decide_and_rank_as_single_lines(size):
              for n in rng.integers(0, 5, size=40)]
     hierarchy = LanguageHierarchy({"cc": "aa"})
     single, batched = (Decider(model, 0.3, {"aa", "bb", "dd"}, hierarchy) for _ in range(2))
-    want = [hexed(single.rank(t, 2)) for t in texts] + [single.rank(t, 1)[0][0] for t in texts]
+    want = ([hexed(single.rank_batch([t], 2)[0]) for t in texts]
+            + [single.rank_batch([t], 1)[0][0][0] for t in texts])
     chunks = [texts[i : i + size] for i in range(0, len(texts), size)]
     got = [hexed(pairs) for chunk in chunks for pairs in batched.rank_batch(chunk, 2)]
     got += [label for chunk in chunks for label in batched.decide_batch(chunk)]
@@ -359,7 +361,7 @@ def test_scoring_reuses_its_arrays_across_blocks():
 
     # a Decider and its first line: buffers sized at construction would
     # take LINE_BLOCK rows each
-    assert peak(lambda: Decider(model, 0.5, base, hierarchy).rank("w0 w1", 3)) < 32 * row
+    assert peak(lambda: Decider(model, 0.5, base, hierarchy).rank_batch(["w0 w1"], 3)) < 32 * row
     decider = Decider(model, 0.5, base, hierarchy)
     texts = ["w0 w1 w2", "w1", "", "w2 w2"] * (LINE_BLOCK // 4)
     decider.rank_batch(texts, 3)

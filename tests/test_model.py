@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 import lidkit.model
 from lidkit.corpus import CorpusStats, LabeledLine
+from lidkit.decision import Decider
 from lidkit.errors import CorruptModel, NoFeatures, NoLabels, UnsupportedFormat
 from lidkit.features import (
     FeatureBag,
@@ -244,25 +245,27 @@ class TestBlockedScorer:
         assert_same_bits(scorer._logits(v), want)
         assert_same_bits(scorer._probs(v), np.array([softmax(row) for row in want]))
 
-    def test_texts_score_in_blocks_as_one_at_a_time(self):
-        m = toy_model(seed=4)
+    @pytest.mark.parametrize("n_labels", [1, 129, 1601])
+    @pytest.mark.parametrize("dim", [1, 8, 256])
+    def test_texts_score_in_blocks_as_one_at_a_time(self, n_labels, dim):
+        """Blocks against the per-line path, predict_dist, bit for bit, and
+        a Decider's ranks against predict's, pair for pair."""
+        m = toy_model(labels=tuple(f"l{i:04d}" for i in range(n_labels)), dim=dim, seed=4)
         texts = [["w0 w1", "", "w2 zz w2", "  "][i % 4] + f" x{i}" * (i % 3)
                  for i in range(2 * lidkit.model.LINE_BLOCK + 5)]
-        scorer = Scorer(m)
-        blocks = [(has, p.copy()) for has, p in scorer.iter_blocks(texts)]
+        blocks = [(has, p.copy()) for has, p in Scorer(m).iter_blocks(texts)]
         assert [len(has) for has, _ in blocks] == [lidkit.model.LINE_BLOCK] * 2 + [5]
         has = np.concatenate([h for h, _ in blocks])
         got = np.concatenate([p for _, p in blocks])
         assert has.tolist() == [bool(featurize(t, m.vocab, m.feature_config)) for t in texts]
-        assert_same_bits(got, np.array([scorer.probs(t) for t, h in zip(texts, has) if h]))
+        want = [list(predict_dist(m, t).probs.values()) for t, h in zip(texts, has) if h]
+        assert_same_bits(got, np.array(want))
 
-    def test_successive_probs_stay_independent(self):
-        scorer = Scorer(toy_model(seed=4))
-        first = scorer.probs("w0 w1")
-        kept = first.copy()
-        second = scorer.probs("w2 zz w2")
-        assert_same_bits(first, kept)
-        assert not np.shares_memory(first, second)
+        def hexed(rows):
+            return [[(label, p.hex()) for label, p in pairs] for pairs in rows]
+
+        ranked = Decider(m, 0.0).rank_batch(texts, 3)
+        assert hexed(ranked) == hexed(predict(m, t, 3) for t in texts)
 
     def test_a_call_holds_the_features_of_one_block_at_a_time(self):
         """Four blocks of long lines peak near one block under tracemalloc:
